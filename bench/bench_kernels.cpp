@@ -1,28 +1,28 @@
-// Kernel micro-benchmarks behind the raw-speed push: the vectorized check
-// kernels (extremes scan, sort-walk first-diff), the width-adaptive refine
+// Kernel micro-benchmarks behind the raw-speed push: the check kernels
+// (extremes fill + scan, sort-walk first-diff), the width-adaptive refine
 // paths, and — as the headline number — a full single-thread OCDDISCOVER
-// run over LATTICE, per SIMD backend.
+// run over LATTICE.
 //
 // Three sections, all landing in BENCH_kernels.json:
 //
-//  1. `full-lattice-<backend>`: LATTICE at 100k rows (the acceptance
-//     target: < 4s single-thread with cached sorted partitions), once per
-//     available backend. The `pre-refactor-baseline` entry records the
-//     measurement taken at the commit *before* the compressed-column /
-//     SIMD work (same machine, same configuration, standalone harness):
-//     10.57s, 50030 checks, 9400 OCDs — committed so the before/after is
-//     visible in one file.
+//  1. `full-lattice`: LATTICE at 100k rows (the acceptance target: < 4s
+//     single-thread with cached sorted partitions). The
+//     `pre-refactor-baseline` entry records the measurement taken at the
+//     commit *before* the compressed-column work (same machine, same
+//     configuration, standalone harness): 10.57s, 50030 checks, 9400
+//     OCDs — committed so the before/after is visible in one file.
 //
-//  2. `extremes-<width>-<backend>`: ListPartition::CheckOd over synthetic
+//  2. `extremes-<width>`: ListPartition::CheckOd over synthetic
 //     two-column relations whose cardinalities pin the partition storage
 //     to u8 / u16 / u32, isolating the packed MinMax fill + scan kernels.
-//     `firstdiff-…-<backend>` does the same for the sort-based checker's
-//     walk (OrderChecker), in the single-attribute fast path and the
-//     multi-attribute gather path.
+//     The two columns are equal, so the OD holds and every check streams
+//     all rows instead of timing the fill's early exit.
+//     `firstdiff-single` / `firstdiff-multi` do the same for the
+//     sort-based checker's walk (OrderChecker), in the single-attribute
+//     fast path and the multi-attribute path.
 //
 //  3. `refine-<path>-<width>`: ListPartition::Refine by histogram and
-//     counting path per storage width (refine is scalar on every backend,
-//     so no backend dimension).
+//     counting path per storage width.
 //
 // Entries report seconds *per iteration* (the loop runs until a fixed
 // wall budget) with `checks` = iterations; every entry carries the
@@ -42,7 +42,6 @@
 
 #include "bench_util.h"
 #include "common/prof.h"
-#include "common/simd_dispatch.h"
 #include "core/checker.h"
 #include "core/list_partition.h"
 #include "core/ocd_discover.h"
@@ -63,12 +62,6 @@ std::size_t RowsFromEnv(const char* var, std::size_t fallback) {
     if (v > 0) return static_cast<std::size_t>(v);
   }
   return fallback;
-}
-
-std::vector<ocdd::simd::Backend> AvailableBackends() {
-  std::vector<ocdd::simd::Backend> out = {ocdd::simd::Backend::kScalar};
-  if (ocdd::simd::CpuHasAvx2()) out.push_back(ocdd::simd::Backend::kAvx2);
-  return out;
 }
 
 /// Synthetic relation of `cols` random columns with `domain` distinct
@@ -95,6 +88,19 @@ CodedRelation MakeSynthetic(std::size_t rows, std::int32_t domain,
       col.codes[v] = v;
     }
   }
+  return CodedRelation::FromColumns(std::move(columns));
+}
+
+/// Two equal columns of `domain` distinct values: c0 → c1 holds with no
+/// split and no swap, so a partition check on it reads every row.
+CodedRelation MakeAllValid(std::size_t rows, std::int32_t domain,
+                           std::uint64_t seed) {
+  CodedColumn lhs = MakeSynthetic(rows, domain, 1, seed).column(0);
+  CodedColumn rhs = lhs;
+  rhs.name = "c1";
+  std::vector<CodedColumn> columns;
+  columns.push_back(std::move(lhs));
+  columns.push_back(std::move(rhs));
   return CodedRelation::FromColumns(std::move(columns));
 }
 
@@ -132,15 +138,12 @@ int main() {
   const std::size_t full_rows = RowsFromEnv("OCDD_BENCH_ROWS", 100000);
   const std::size_t micro_rows =
       RowsFromEnv("OCDD_BENCH_MICRO_ROWS", std::size_t{1} << 20);
-  const std::vector<ocdd::simd::Backend> backends = AvailableBackends();
   ocdd::bench::BenchReport report("kernels");
 
-  std::printf("check-kernel micro-bench (backends:");
-  for (auto b : backends) std::printf(" %s", ocdd::simd::BackendName(b));
-  std::printf(")\n\n");
+  std::printf("check-kernel micro-bench\n\n");
 
-  // --- Section 1: full LATTICE run per backend, plus the committed
-  // pre-refactor measurement for the before/after diff.
+  // --- Section 1: full LATTICE run, plus the committed pre-refactor
+  // measurement for the before/after diff.
   {
     ocdd::bench::BenchEntry baseline;
     baseline.dataset = "LATTICE";
@@ -161,79 +164,66 @@ int main() {
   {
     auto relation =
         CodedRelation::Encode(ocdd::datagen::MakeLattice(full_rows));
-    for (auto backend : backends) {
-      ocdd::simd::ForceBackendForTest(backend);
-      ocdd::core::OcdDiscoverOptions opts;
-      opts.num_threads = 1;
-      opts.use_sorted_partitions = true;
-      opts.max_partition_cache_bytes = std::size_t{2} << 30;
-      opts.time_limit_seconds =
-          std::max(ocdd::bench::RunBudgetSeconds(), 120.0);
-      auto result = ocdd::core::DiscoverOcds(relation, opts);
-      std::printf("full LATTICE %zu rows, %-6s: %8.3fs  (%llu checks, "
-                  "%zu ocds, %zu ods)%s\n",
-                  full_rows, ocdd::simd::BackendName(backend),
-                  result.elapsed_seconds,
-                  static_cast<unsigned long long>(result.num_checks),
-                  result.ocds.size(), result.ods.size(),
-                  result.completed ? "" : "  [TLE]");
-      ocdd::bench::BenchEntry e;
-      e.dataset = "LATTICE";
-      e.label = std::string("full-lattice-") +
-                ocdd::simd::BackendName(backend);
-      e.rows = relation.num_rows();
-      e.cols = relation.num_columns();
-      e.threads = 1;
-      e.use_sorted_partitions = true;
-      e.seconds = result.elapsed_seconds;
-      e.checks = result.num_checks;
-      e.ocds = result.ocds.size();
-      e.ods = result.ods.size();
-      e.completed = result.completed;
-      report.Add(std::move(e));
-    }
-    ocdd::simd::Refresh();
+    ocdd::core::OcdDiscoverOptions opts;
+    opts.num_threads = 1;
+    opts.use_sorted_partitions = true;
+    opts.max_partition_cache_bytes = std::size_t{2} << 30;
+    opts.time_limit_seconds = std::max(ocdd::bench::RunBudgetSeconds(), 120.0);
+    ocdd::prof::Reset();  // the entry's profile covers discovery only
+    auto result = ocdd::core::DiscoverOcds(relation, opts);
+    std::printf("full LATTICE %zu rows: %8.3fs  (%llu checks, %zu ocds, "
+                "%zu ods)%s\n",
+                full_rows, result.elapsed_seconds,
+                static_cast<unsigned long long>(result.num_checks),
+                result.ocds.size(), result.ods.size(),
+                result.completed ? "" : "  [TLE]");
+    ocdd::bench::BenchEntry e;
+    e.dataset = "LATTICE";
+    e.label = "full-lattice";
+    e.rows = relation.num_rows();
+    e.cols = relation.num_columns();
+    e.threads = 1;
+    e.use_sorted_partitions = true;
+    e.seconds = result.elapsed_seconds;
+    e.checks = result.num_checks;
+    e.ocds = result.ocds.size();
+    e.ods = result.ods.size();
+    e.completed = result.completed;
+    report.Add(std::move(e));
   }
 
-  // --- Section 2a: extremes fill + scan per storage width and backend.
+  // --- Section 2a: extremes fill + scan per storage width.
   const std::int32_t kDomains[] = {200, 1000, 100000};  // u8 / u16 / u32
   std::printf("\nextremes kernel (ListPartition::CheckOd, %zu rows):\n",
               micro_rows);
   for (std::int32_t domain : kDomains) {
-    auto relation = MakeSynthetic(micro_rows, domain, 2, domain);
+    auto relation = MakeAllValid(micro_rows, domain, domain);
     ListPartition lhs = ListPartition::ForColumn(relation, 0);
     ListPartition rhs = ListPartition::ForColumn(relation, 1);
     const char* width = WidthName(lhs.width());
-    for (auto backend : backends) {
-      ocdd::simd::ForceBackendForTest(backend);
-      ocdd::prof::Reset();
-      volatile bool sink = false;
-      auto [secs, iters] = TimeLoop([&] {
-        auto outcome = ListPartition::CheckOd(lhs, rhs);
-        sink = sink || outcome.has_swap;
-      });
-      std::printf("  %-4s %-6s: %9.3f ms/check  (%llu iters)\n", width,
-                  ocdd::simd::BackendName(backend), secs * 1e3,
-                  static_cast<unsigned long long>(iters));
-      ocdd::bench::BenchEntry e;
-      e.dataset = "synthetic";
-      e.label = std::string("extremes-") + width + "-" +
-                ocdd::simd::BackendName(backend);
-      e.rows = micro_rows;
-      e.cols = 2;
-      e.threads = 1;
-      e.use_sorted_partitions = true;
-      e.seconds = secs;
-      e.checks = iters;
-      report.Add(std::move(e));
-    }
+    ocdd::prof::Reset();
+    volatile bool sink = false;
+    auto [secs, iters] = TimeLoop([&] {
+      auto outcome = ListPartition::CheckOd(lhs, rhs);
+      sink = sink || outcome.has_swap;
+    });
+    std::printf("  %-4s: %9.3f ms/check  (%llu iters)\n", width, secs * 1e3,
+                static_cast<unsigned long long>(iters));
+    ocdd::bench::BenchEntry e;
+    e.dataset = "synthetic";
+    e.label = std::string("extremes-") + width;
+    e.rows = micro_rows;
+    e.cols = 2;
+    e.threads = 1;
+    e.use_sorted_partitions = true;
+    e.seconds = secs;
+    e.checks = iters;
+    report.Add(std::move(e));
   }
-  ocdd::simd::Refresh();
 
-  // --- Section 2b: sort-walk first-diff per backend — the single-attr
-  // fast path and the multi-attribute gather path of the sort-based
-  // checker. The sort dominates each call; the backend delta isolates the
-  // walk.
+  // --- Section 2b: sort-walk first-diff — the single-attr fast path and
+  // the multi-attribute path of the sort-based checker. The sort dominates
+  // each call.
   std::printf("\nfirst-diff walk (OrderChecker, %zu rows):\n", micro_rows);
   {
     auto relation = MakeSynthetic(micro_rows, 1000, 4, 7);
@@ -247,34 +237,27 @@ int main() {
         {"firstdiff-multi", {0, 1}, {2, 3}},
     };
     for (const Case& c : cases) {
-      for (auto backend : backends) {
-        ocdd::simd::ForceBackendForTest(backend);
-        ocdd::prof::Reset();
-        volatile bool sink = false;
-        auto [secs, iters] = TimeLoop([&] {
-          bool swap =
-              checker.CheckOd(c.x, c.y, /*early_exit=*/false).has_swap;
-          sink = sink || swap;
-        });
-        std::printf("  %-17s %-6s: %9.3f ms/check  (%llu iters)\n", c.name,
-                    ocdd::simd::BackendName(backend), secs * 1e3,
-                    static_cast<unsigned long long>(iters));
-        ocdd::bench::BenchEntry e;
-        e.dataset = "synthetic";
-        e.label = std::string(c.name) + "-" +
-                  ocdd::simd::BackendName(backend);
-        e.rows = micro_rows;
-        e.cols = relation.num_columns();
-        e.threads = 1;
-        e.seconds = secs;
-        e.checks = iters;
-        report.Add(std::move(e));
-      }
+      ocdd::prof::Reset();
+      volatile bool sink = false;
+      auto [secs, iters] = TimeLoop([&] {
+        bool swap = checker.CheckOd(c.x, c.y, /*early_exit=*/false).has_swap;
+        sink = sink || swap;
+      });
+      std::printf("  %-17s: %9.3f ms/check  (%llu iters)\n", c.name,
+                  secs * 1e3, static_cast<unsigned long long>(iters));
+      ocdd::bench::BenchEntry e;
+      e.dataset = "synthetic";
+      e.label = c.name;
+      e.rows = micro_rows;
+      e.cols = relation.num_columns();
+      e.threads = 1;
+      e.seconds = secs;
+      e.checks = iters;
+      report.Add(std::move(e));
     }
   }
-  ocdd::simd::Refresh();
 
-  // --- Section 3: refine paths per width (scalar on every backend).
+  // --- Section 3: refine paths per width.
   std::printf("\nrefine paths (ListPartition::Refine, %zu rows):\n",
               micro_rows);
   for (std::int32_t domain : kDomains) {

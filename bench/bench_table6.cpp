@@ -12,6 +12,7 @@
 #include "algo/fd/tane.h"
 #include "algo/order/order_discover.h"
 #include "bench_util.h"
+#include "common/prof.h"
 #include "core/expansion.h"
 #include "core/ocd_discover.h"
 #include "datagen/registry.h"
@@ -42,9 +43,11 @@ void RunDataset(const ocdd::datagen::DatasetSpec& spec,
   fastod_opts.time_limit_seconds = budget;
   auto fastod = ocdd::algo::DiscoverFastod(r, fastod_opts);
 
-  // OCDDISCOVER.
+  // OCDDISCOVER. The entry's profile must cover this run alone, not the
+  // baselines above.
   ocdd::core::OcdDiscoverOptions ocd_opts;
   ocd_opts.time_limit_seconds = budget;
+  ocdd::prof::Reset();
   auto mine = ocdd::core::DiscoverOcds(r, ocd_opts);
   report.Add({spec.name, r.num_rows(), r.num_columns(), ocd_opts.num_threads,
               ocd_opts.use_sorted_partitions, mine.elapsed_seconds,

@@ -74,9 +74,9 @@ struct BenchEntry {
   std::size_t ocds = 0;
   std::size_t ods = 0;
   bool completed = true;
-  /// Free-form variant tag ("scalar" / "avx2" / "refine-histogram-u8" …)
+  /// Free-form variant tag ("extremes-u8" / "refine-histogram-u8" …)
   /// distinguishing configurations of the same dataset, e.g. the kernel
-  /// micro-bench's backend × code-width matrix. Empty for plain sweeps.
+  /// micro-bench's kernel × code-width matrix. Empty for plain sweeps.
   /// Kept after the measurement fields so older aggregate initializers
   /// that stop at `completed` keep compiling unchanged.
   std::string label;

@@ -1,32 +1,6 @@
 #include "common/simd_dispatch.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace ocdd::simd {
-
-namespace {
-
-constexpr int kUnresolved = -1;
-
-std::atomic<int> g_backend{kUnresolved};
-
-Backend Resolve() {
-  bool has_avx2 = CpuHasAvx2();
-  const char* env = std::getenv("OCDD_SIMD");
-  if (env != nullptr) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0) {
-      return Backend::kScalar;
-    }
-    if (std::strcmp(env, "avx2") == 0) {
-      return has_avx2 ? Backend::kAvx2 : Backend::kScalar;
-    }
-  }
-  return has_avx2 ? Backend::kAvx2 : Backend::kScalar;
-}
-
-}  // namespace
 
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -36,24 +10,7 @@ bool CpuHasAvx2() {
 #endif
 }
 
-Backend Active() {
-  int cached = g_backend.load(std::memory_order_acquire);
-  if (cached != kUnresolved) return static_cast<Backend>(cached);
-  Backend resolved = Resolve();
-  // Several threads may race the first resolution; they all compute the
-  // same value, so a plain store is fine.
-  g_backend.store(static_cast<int>(resolved), std::memory_order_release);
-  return resolved;
-}
-
-void Refresh() {
-  g_backend.store(static_cast<int>(Resolve()), std::memory_order_release);
-}
-
-void ForceBackendForTest(Backend backend) {
-  if (backend == Backend::kAvx2 && !CpuHasAvx2()) return;
-  g_backend.store(static_cast<int>(backend), std::memory_order_release);
-}
+Backend Active() { return CpuHasAvx2() ? Backend::kAvx2 : Backend::kScalar; }
 
 const char* BackendName(Backend backend) {
   switch (backend) {

@@ -3,36 +3,21 @@
 
 namespace ocdd::simd {
 
-/// Which implementation of the vectorizable check kernels is active.
-///
-/// Every SIMD kernel in the tree ships with a bit-identical scalar
-/// implementation; the backend only selects *how* the same answer is
-/// computed. Selection happens once (cpuid + the `OCDD_SIMD` environment
-/// variable) and is cached; `Refresh()` re-evaluates — the QA harness uses
-/// it to force the scalar fallback mid-process and cross-check closures.
-///
-/// `OCDD_SIMD` values: `off` / `scalar` force the scalar fallback, `avx2`
-/// requests AVX2 (silently degrading to scalar when the CPU lacks it, so a
-/// forced-AVX2 CI pass can run anywhere), anything else / unset = auto.
+/// A report of the CPU's vector capability, for stamping benchmark and
+/// profile output with the host it ran on. No kernel branches on it: every
+/// check kernel has exactly one (scalar) implementation, and the compiler
+/// is free to vectorize it (docs/performance.md, "Why the check kernels are
+/// scalar").
 enum class Backend : int {
   kScalar = 0,
   kAvx2 = 1,
 };
 
-/// The cached active backend (first call resolves env + cpuid).
+/// kAvx2 when the CPU supports AVX2, otherwise kScalar.
 Backend Active();
 
-/// True when the CPU supports AVX2 (independent of the env override).
+/// True when the CPU supports AVX2.
 bool CpuHasAvx2();
-
-/// Re-resolves the backend from the environment and cpuid. Thread-safe;
-/// intended for tests and the QA scalar-fallback stage, not for flipping
-/// backends mid-check (kernels read the backend once per call).
-void Refresh();
-
-/// Test-only override; sticks until `Refresh()`. Forcing kAvx2 on a CPU
-/// without AVX2 is ignored (scalar stays active).
-void ForceBackendForTest(Backend backend);
 
 const char* BackendName(Backend backend);
 

@@ -5,12 +5,6 @@
 #include <type_traits>
 
 #include "common/prof.h"
-#include "common/simd_dispatch.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define OCDD_HAVE_AVX2_KERNELS 1
-#endif
 
 namespace ocdd::core {
 
@@ -345,10 +339,8 @@ constexpr std::int32_t kI32Min = std::numeric_limits<std::int32_t>::min();
 constexpr std::int32_t kI32Max = std::numeric_limits<std::int32_t>::max();
 
 /// Extremes fill: one pass over the rows, scatter-updating the per-group
-/// min/max. Deliberately scalar — AVX2 has gathers but no scatter, and the
-/// group index stream has same-group dependencies a conflict-free vector
-/// update would need AVX-512 CD semantics for. The width templating is
-/// where the traffic win lives: u8 codes stream 4x fewer bytes than i32.
+/// min/max. The width templating is where the traffic win lives: u8 codes
+/// stream 4x fewer bytes than i32.
 template <typename L, typename R>
 void FillExtremes(const L* lc, const R* rc, std::size_t m, MinMax* ext) {
   for (std::size_t row = 0; row < m; ++row) {
@@ -385,7 +377,10 @@ struct ScanResult {
 /// Group scan over the packed extremes: split iff some group's rhs ranks
 /// are not all equal (lo != hi), swap iff some group's lo is undercut by
 /// the running max of all previous groups' hi.
-ScanResult ScanExtremesScalar(const MinMax* ext, std::size_t groups) {
+ScanResult ScanExtremes(const MinMax* ext, std::size_t groups) {
+  prof::ScopedTimer timer(prof::Phase::kCheckScan);
+  prof::AddBytes(prof::Phase::kCheckScan,
+                 static_cast<std::uint64_t>(groups) * sizeof(MinMax));
   ScanResult res;
   std::int32_t running_max = kI32Min;
   for (std::size_t g = 0; g < groups; ++g) {
@@ -397,97 +392,8 @@ ScanResult ScanExtremesScalar(const MinMax* ext, std::size_t groups) {
   return res;
 }
 
-#if OCDD_HAVE_AVX2_KERNELS
-
-/// AVX2 group scan: 8 groups per iteration. The packed {lo,hi} pairs are
-/// deinterleaved into a lo and a hi vector, the running max becomes an
-/// exclusive in-register prefix max of hi (log-step lane shifts) with a
-/// scalar carry between blocks, and the two predicates reduce to compare +
-/// accumulate. Bit-identical to ScanExtremesScalar by construction: both
-/// evaluate exactly `lo != hi` and `max(prev his) > lo` per group.
-__attribute__((target("avx2"))) ScanResult ScanExtremesAvx2(
-    const MinMax* ext, std::size_t groups) {
-  ScanResult res;
-  std::int32_t carry = kI32Min;
-  const __m256i min_vec = _mm256_set1_epi32(kI32Min);
-  // shuffle_ps picks even (lo) / odd (hi) 32-bit lanes but leaves them in
-  // per-128-bit-lane order [0,1,4,5,2,3,6,7]; this permute restores
-  // sequential group order (prefix max needs it).
-  const __m256i reorder = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-  const __m256i shift1 = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
-  const __m256i shift2 = _mm256_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5);
-  const __m256i shift4 = _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3);
-  __m256i eq_acc = _mm256_set1_epi32(-1);
-  __m256i swap_acc = _mm256_setzero_si256();
-
-  std::size_t g = 0;
-  for (; g + 8 <= groups; g += 8) {
-    __m256i a = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ext + g));
-    __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(ext + g + 4));
-    __m256 af = _mm256_castsi256_ps(a);
-    __m256 bf = _mm256_castsi256_ps(b);
-    __m256i lo = _mm256_permutevar8x32_epi32(
-        _mm256_castps_si256(_mm256_shuffle_ps(af, bf, _MM_SHUFFLE(2, 0, 2, 0))),
-        reorder);
-    __m256i hi = _mm256_permutevar8x32_epi32(
-        _mm256_castps_si256(_mm256_shuffle_ps(af, bf, _MM_SHUFFLE(3, 1, 3, 1))),
-        reorder);
-
-    eq_acc = _mm256_and_si256(eq_acc, _mm256_cmpeq_epi32(lo, hi));
-
-    // Inclusive prefix max of hi across the 8 lanes.
-    __m256i incl = hi;
-    __m256i s = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(incl, shift1),
-                                   min_vec, 0x01);
-    incl = _mm256_max_epi32(incl, s);
-    s = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(incl, shift2), min_vec,
-                           0x03);
-    incl = _mm256_max_epi32(incl, s);
-    s = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(incl, shift4), min_vec,
-                           0x0F);
-    incl = _mm256_max_epi32(incl, s);
-
-    // Exclusive prefix max: lanes shift up one group, the carry (max of all
-    // earlier blocks) enters at lane 0.
-    __m256i excl = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(incl, shift1),
-                                      _mm256_set1_epi32(carry), 0x01);
-    excl = _mm256_max_epi32(excl, _mm256_set1_epi32(carry));
-
-    swap_acc = _mm256_or_si256(swap_acc, _mm256_cmpgt_epi32(excl, lo));
-    carry = std::max(carry, _mm256_extract_epi32(incl, 7));
-  }
-
-  res.has_split = _mm256_movemask_epi8(eq_acc) != -1;
-  res.has_swap = _mm256_movemask_epi8(swap_acc) != 0;
-
-  std::int32_t running_max = carry;
-  for (; g < groups; ++g) {
-    const MinMax& e = ext[g];
-    res.has_split |= e.lo != e.hi;
-    res.has_swap |= running_max > e.lo;
-    running_max = std::max(running_max, e.hi);
-  }
-  return res;
-}
-
-#endif  // OCDD_HAVE_AVX2_KERNELS
-
-ScanResult ScanExtremes(const MinMax* ext, std::size_t groups) {
-  prof::ScopedTimer timer(prof::Phase::kCheckScan);
-  prof::AddBytes(prof::Phase::kCheckScan,
-                 static_cast<std::uint64_t>(groups) * sizeof(MinMax));
-#if OCDD_HAVE_AVX2_KERNELS
-  if (simd::Active() == simd::Backend::kAvx2) {
-    return ScanExtremesAvx2(ext, groups);
-  }
-#endif
-  return ScanExtremesScalar(ext, groups);
-}
-
 /// Probe scan for the blocked fill's early exit. Same predicates as
-/// ScanExtremesScalar, but groups a partial fill has not touched yet (lo
+/// ScanExtremes, but groups a partial fill has not touched yet (lo
 /// still the init sentinel — real ranks are < 2^31-1, so the sentinel is
 /// unambiguous) are skipped: under the sentinel they would read as
 /// lo != hi and fake a split. Both predicates are monotone in the set of

@@ -17,7 +17,6 @@
 #include "common/fault_injection.h"
 #include "common/io_env.h"
 #include "common/rng.h"
-#include "common/simd_dispatch.h"
 #include "core/ocd_discover.h"
 #include "common/run_context.h"
 #include "common/snapshot.h"
@@ -270,76 +269,6 @@ std::vector<Discrepancy> CheckResumedRuns(const rel::CodedRelation& coded,
                const CheckpointConfig* cfg) {
               return RunTaneClaims(c, ctx, cfg);
             });
-  return out;
-}
-
-/// The scalar-fallback equivalence stage: re-run OCDDISCOVER with the
-/// check-kernel backend pinned to the scalar fallback (what `OCDD_SIMD=off`
-/// selects at startup) and assert the closure — and the check accounting —
-/// is identical to the default-backend run's, in both check modes. The
-/// sort-walk leg reuses the iteration's existing default-backend claims as
-/// the reference; the partition leg runs both backends back to back so the
-/// extremes fill/scan kernels and the partition cache accounting are
-/// covered too. A no-op when the scalar backend is already the active one.
-std::vector<Discrepancy> CheckSimdFallback(const rel::CodedRelation& coded,
-                                           const AlgorithmRuns& runs,
-                                           std::uint64_t* checks) {
-  std::vector<Discrepancy> out;
-  if (simd::Active() == simd::Backend::kScalar) return out;
-
-  auto diff_render = [&out](const std::vector<std::string>& want,
-                            const std::vector<std::string>& got,
-                            const char* leg) {
-    std::vector<std::string> missing, extra;
-    std::set_difference(want.begin(), want.end(), got.begin(), got.end(),
-                        std::back_inserter(missing));
-    std::set_difference(got.begin(), got.end(), want.begin(), want.end(),
-                        std::back_inserter(extra));
-    for (const std::string& s : missing) {
-      out.push_back({"simd", leg, "scalar run lost " + s});
-    }
-    for (const std::string& s : extra) {
-      out.push_back({"simd", leg, "scalar run invented " + s});
-    }
-  };
-
-  // Leg 1: the sort-based checker (first-diff walk kernels) against the
-  // iteration's default-backend claims.
-  simd::ForceBackendForTest(simd::Backend::kScalar);
-  ClaimSet scalar = RunOcddiscoverClaims(coded);
-  ++*checks;
-  diff_render(runs.ocdd.Render(), scalar.Render(), "sort-walk");
-  if (scalar.num_checks != runs.ocdd.num_checks) {
-    out.push_back({"simd", "sort-walk",
-                   "scalar run performed " +
-                       std::to_string(scalar.num_checks) + " checks, " +
-                       "default backend " +
-                       std::to_string(runs.ocdd.num_checks)});
-  }
-
-  // Leg 2: cached sorted partitions (extremes fill/scan kernels), scalar
-  // first, then the default backend restored via Refresh.
-  core::OcdDiscoverOptions popts;
-  popts.use_sorted_partitions = true;
-  core::OcdDiscoverResult scalar_part = core::DiscoverOcds(coded, popts);
-  simd::Refresh();
-  core::OcdDiscoverResult simd_part = core::DiscoverOcds(coded, popts);
-  ++*checks;
-  if (scalar_part.ocds != simd_part.ocds ||
-      scalar_part.ods != simd_part.ods) {
-    out.push_back({"simd", "partitions",
-                   "backends disagree on the partition-mode closure"});
-  }
-  if (scalar_part.num_checks != simd_part.num_checks ||
-      scalar_part.partition_cache_bytes != simd_part.partition_cache_bytes) {
-    out.push_back(
-        {"simd", "partitions",
-         "backends disagree on accounting: " +
-             std::to_string(scalar_part.num_checks) + "/" +
-             std::to_string(scalar_part.partition_cache_bytes) +
-             " (scalar) vs " + std::to_string(simd_part.num_checks) + "/" +
-             std::to_string(simd_part.partition_cache_bytes) + " bytes"});
-  }
   return out;
 }
 
@@ -1123,18 +1052,6 @@ QaSummary RunQa(const QaOptions& options) {
     }
     if (failed) continue;
 
-    if (options.simd_fallback && i % 4 == 1 && runs.ocdd.completed) {
-      std::vector<Discrepancy> ds =
-          CheckSimdFallback(coded, runs, &summary.simd_checks);
-      if (!ds.empty()) {
-        QaFailure f =
-            MakeFailure(i, iter_seed, "simd", std::move(ds), relation);
-        MaybeWriteRepro(options, &f);
-        summary.failures.push_back(std::move(f));
-        continue;
-      }
-    }
-
     if (options.stopped_runs && i % 5 == 0 && runs.AllCompleted()) {
       std::vector<Discrepancy> ds = CheckStoppedRuns(
           coded, runs, &summary.stopped_run_checks, &summary.skipped);
@@ -1253,7 +1170,6 @@ std::string SummaryToJson(const QaSummary& summary) {
          ",\n";
   out += "  \"incremental_checks\": " +
          std::to_string(summary.incremental_checks) + ",\n";
-  out += "  \"simd_checks\": " + std::to_string(summary.simd_checks) + ",\n";
   out += "  \"serve_checks\": " + std::to_string(summary.serve_checks) +
          ",\n";
   out += "  \"skipped\": " + std::to_string(summary.skipped) + ",\n";

@@ -42,13 +42,6 @@ struct QaOptions {
   /// mid-schedule (docs/incremental.md). Failing schedules are ddmin-shrunk
   /// batch- and op-wise (ShrinkFailingSchedule).
   bool incremental = true;
-  /// Periodically re-run OCDDISCOVER with the check-kernel backend pinned
-  /// to the scalar fallback (what `OCDD_SIMD=off` selects at startup) — in
-  /// both check modes — and assert the closure is identical to the
-  /// default-backend run's. Audits the SIMD dispatch layer's bit-identical
-  /// promise end to end; a no-op when the scalar backend is already active
-  /// (no AVX2, or `OCDD_SIMD=off` in the environment).
-  bool simd_fallback = true;
   /// Path to the `ocdd` CLI binary, enabling the serve-equivalence stage:
   /// periodically serve the iteration's relation through an in-process
   /// daemon (spawning real worker processes) and assert the daemon's report
@@ -80,7 +73,7 @@ struct QaFailure {
   /// sequential — see IterationSeed.)
   std::uint64_t iteration_seed = 0;
   /// "oracle", "metamorphic/<transform>", "stopped_run", "resumed_run",
-  /// "ingest", "incremental", "simd", or "serve". For "ingest" failures
+  /// "ingest", "incremental", or "serve". For "ingest" failures
   /// `csv` holds
   /// the raw corrupted text
   /// (line-shrunk when the contract violation survives shrinking) and each
@@ -113,7 +106,6 @@ struct QaSummary {
   std::uint64_t resume_checks = 0;
   std::uint64_t ingest_checks = 0;
   std::uint64_t incremental_checks = 0;
-  std::uint64_t simd_checks = 0;
   std::uint64_t serve_checks = 0;
   std::uint64_t skipped = 0;
   std::uint64_t shrink_evaluations = 0;

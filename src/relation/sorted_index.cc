@@ -126,22 +126,4 @@ std::vector<std::uint32_t> SortRowsByList(const CodedRelation& relation,
   return index;
 }
 
-std::vector<std::uint32_t> StableSortRowsByList(
-    const CodedRelation& relation, const std::vector<ColumnId>& attrs,
-    std::vector<std::uint32_t> base) {
-  if (attrs.size() == 1) {
-    const std::int32_t* codes = relation.column(attrs[0]).codes.data();
-    std::stable_sort(base.begin(), base.end(),
-                     [codes](std::uint32_t a, std::uint32_t b) {
-                       return codes[a] < codes[b];
-                     });
-    return base;
-  }
-  std::stable_sort(base.begin(), base.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return CompareRowsOnList(relation, attrs, a, b) < 0;
-                   });
-  return base;
-}
-
 }  // namespace ocdd::rel

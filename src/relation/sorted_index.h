@@ -29,14 +29,6 @@ void SortRowsByListInto(const CodedRelation& relation,
                         const std::vector<ColumnId>& attrs,
                         std::vector<std::uint32_t>* index);
 
-/// Like `SortRowsByList` but reorders `base` (a previously computed index
-/// whose order is used as the tie-break via stable sort). Sorting an index
-/// that is already ordered by a prefix of `attrs` is faster in practice and
-/// keeps results deterministic.
-std::vector<std::uint32_t> StableSortRowsByList(
-    const CodedRelation& relation, const std::vector<ColumnId>& attrs,
-    std::vector<std::uint32_t> base);
-
 }  // namespace ocdd::rel
 
 #endif  // OCDD_RELATION_SORTED_INDEX_H_

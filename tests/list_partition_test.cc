@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "common/rng.h"
 #include "core/ocd_discover.h"
 #include "datagen/fixtures.h"
@@ -43,6 +46,69 @@ ListPartition BuildByRefinement(const CodedRelation& r,
   return p;
 }
 
+/// Every partition check (CheckOcd, CheckOd, both legs of CheckOdBoth) on
+/// every disjoint pair of `lists` must give the sort-based checker's
+/// answer.
+void ExpectChecksMatchSortChecker(const CodedRelation& r,
+                                  const std::vector<AttributeList>& lists) {
+  OrderChecker checker(r);
+  for (const AttributeList& x : lists) {
+    for (const AttributeList& y : lists) {
+      if (!x.DisjointWith(y)) continue;
+      SCOPED_TRACE(x.ToString() + " vs " + y.ToString());
+      ListPartition px = BuildByRefinement(r, x);
+      ListPartition py = BuildByRefinement(r, y);
+      EXPECT_EQ(ListPartition::CheckOcd(px, py), checker.HoldsOcd(x, y));
+      OdCheckOutcome sort = checker.CheckOd(x, y, /*early_exit=*/false);
+      OdCheckOutcome sort_rev = checker.CheckOd(y, x, /*early_exit=*/false);
+      OdCheckOutcome part = ListPartition::CheckOd(px, py);
+      EXPECT_EQ(part.has_split, sort.has_split);
+      EXPECT_EQ(part.has_swap, sort.has_swap);
+      OdCheckOutcome fwd, rev;
+      ListPartition::CheckOdBoth(px, py, &fwd, &rev);
+      EXPECT_EQ(fwd.has_split, sort.has_split);
+      EXPECT_EQ(fwd.has_swap, sort.has_swap);
+      EXPECT_EQ(rev.has_split, sort_rev.has_split);
+      EXPECT_EQ(rev.has_swap, sort_rev.has_swap);
+    }
+  }
+}
+
+/// Column shapes that stress the group scan and the blocked fill's early
+/// exit beyond uniform draws.
+enum class Shape {
+  kRandom,     // uniform draws from the domain
+  kNullBlock,  // a leading tie block below every value (NULLS FIRST)
+  kHeavyTies,  // three values whatever the domain
+  kSorted,     // non-decreasing: every adjacent pair ties or ascends
+  kReversed,   // non-increasing: every adjacent pair ties or descends
+};
+
+std::vector<std::int64_t> ShapedColumn(Rng& rng, std::size_t rows,
+                                       std::uint64_t domain, Shape shape) {
+  std::vector<std::int64_t> col(rows);
+  for (std::int64_t& v : col) {
+    v = static_cast<std::int64_t>(rng.Uniform(domain));
+  }
+  switch (shape) {
+    case Shape::kRandom:
+      break;
+    case Shape::kNullBlock:
+      std::fill_n(col.begin(), rows / 4 + rng.Uniform(rows / 4 + 1), -1);
+      break;
+    case Shape::kHeavyTies:
+      for (std::int64_t& v : col) v %= 3;
+      break;
+    case Shape::kSorted:
+      std::sort(col.begin(), col.end());
+      break;
+    case Shape::kReversed:
+      std::sort(col.begin(), col.end(), std::greater<>());
+      break;
+  }
+  return col;
+}
+
 TEST(ListPartitionTest, ForColumnCopiesCodes) {
   CodedRelation r = CodedIntTable({{30, 10, 20, 10}});
   ListPartition p = ListPartition::ForColumn(r, 0);
@@ -81,6 +147,27 @@ TEST(ListPartitionTest, CheckOdOnTaxInfo) {
   EXPECT_TRUE(ListPartition::CheckOcd(income, savings));
 }
 
+TEST(ListPartitionTest, EarlyExitStillReportsLateSplit) {
+  // The fill stops early once it has seen everything the caller asks for.
+  // Here the swap is in the first rows and the only split in the last
+  // row, several fill chunks later, so CheckOd must read on past the swap.
+  const std::size_t rows = 10000;
+  std::vector<std::int64_t> lhs(rows), rhs(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    lhs[i] = static_cast<std::int64_t>(i / 2);
+    rhs[i] = 2 * lhs[i];
+  }
+  std::swap(rhs[0], rhs[2]);
+  std::swap(rhs[1], rhs[3]);
+  rhs[rows - 1] += 1;
+  CodedRelation r = testutil::CodedIntTable({lhs, rhs});
+  OdCheckOutcome out = ListPartition::CheckOd(ListPartition::ForColumn(r, 0),
+                                              ListPartition::ForColumn(r, 1));
+  EXPECT_TRUE(out.has_swap);
+  EXPECT_TRUE(out.has_split);
+  ExpectChecksMatchSortChecker(r, {AttributeList{0}, AttributeList{1}});
+}
+
 class ListPartitionAgreementTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -94,20 +181,65 @@ TEST_P(ListPartitionAgreementTest, RefinementRanksMatchSorting) {
 
 TEST_P(ListPartitionAgreementTest, ChecksMatchSortBasedChecker) {
   CodedRelation r = testutil::RandomCodedTable(GetParam() + 300, 15, 4, 3);
-  OrderChecker checker(r);
-  std::vector<AttributeList> lists = EnumerateLists({0, 1, 2, 3}, 2);
-  for (const AttributeList& x : lists) {
-    for (const AttributeList& y : lists) {
-      if (!x.DisjointWith(y)) continue;
-      ListPartition px = BuildByRefinement(r, x);
-      ListPartition py = BuildByRefinement(r, y);
-      EXPECT_EQ(ListPartition::CheckOcd(px, py), checker.HoldsOcd(x, y))
-          << x.ToString() << " ~ " << y.ToString();
-      OdCheckOutcome part = ListPartition::CheckOd(px, py);
-      OdCheckOutcome sort = checker.CheckOd(x, y, /*early_exit=*/false);
-      EXPECT_EQ(part.has_split, sort.has_split);
-      EXPECT_EQ(part.has_swap, sort.has_swap);
+  ExpectChecksMatchSortChecker(r, EnumerateLists({0, 1, 2, 3}, 2));
+}
+
+TEST_P(ListPartitionAgreementTest, ChecksMatchSortBasedCheckerOnShapes) {
+  // Row counts straddle the degenerate sizes and the blocked fill's
+  // 4096-row chunk; domains straddle the u8/u16 code width.
+  const Shape kShapes[] = {Shape::kRandom, Shape::kNullBlock,
+                           Shape::kHeavyTies, Shape::kSorted,
+                           Shape::kReversed};
+  Rng rng(GetParam() * 1000003 + 11);
+  for (std::size_t rows : {0, 1, 2, 9, 1000, 5000}) {
+    for (std::uint64_t domain : {2, 17, 300}) {
+      for (Shape shape : kShapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rows=" << rows << " domain=" << domain
+                     << " shape=" << static_cast<int>(shape));
+        CodedRelation r = testutil::CodedIntTable(
+            {ShapedColumn(rng, rows, domain, shape),
+             ShapedColumn(rng, rows, domain, Shape::kRandom),
+             ShapedColumn(rng, rows, domain, shape)});
+        ExpectChecksMatchSortChecker(r, EnumerateLists({0, 1, 2}, 2));
+      }
     }
+  }
+}
+
+TEST_P(ListPartitionAgreementTest, ChecksMatchSortBasedCheckerAtWidths) {
+  // Partition code widths flip above 256 and 65536 groups; check both
+  // sides of each boundary. Column 0 is a shuffled cycle through the
+  // domain, so its group count is exactly `domain`. The other columns make
+  // every outcome appear: random (split and swap), reversed (swap only),
+  // halved (valid one way, split the other), and column 0 with its top two
+  // values exchanged, whose only swap is at the last group boundary.
+  Rng rng(GetParam() * 7919 + 5);
+  for (std::int64_t domain : {255, 256, 257, 65535, 65536, 65537}) {
+    SCOPED_TRACE(::testing::Message() << "domain=" << domain);
+    const std::size_t rows = static_cast<std::size_t>(domain) + 100;
+    std::vector<std::int64_t> cycle(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      cycle[i] = static_cast<std::int64_t>(i) % domain;
+    }
+    rng.Shuffle(cycle);
+    std::vector<std::int64_t> reversed, halved, top_swapped;
+    for (std::int64_t v : cycle) {
+      reversed.push_back(domain - 1 - v);
+      halved.push_back(v / 2);
+      top_swapped.push_back(v >= domain - 2 ? 2 * domain - 3 - v : v);
+    }
+    CodedRelation r = testutil::CodedIntTable(
+        {cycle,
+         ShapedColumn(rng, rows, static_cast<std::uint64_t>(domain),
+                      Shape::kRandom),
+         reversed, halved, top_swapped});
+    ListPartition p = ListPartition::ForColumn(r, 0);
+    ASSERT_EQ(p.num_groups(), domain);
+    ASSERT_EQ(p.width(), rel::WidthForDistinct(domain));
+    ExpectChecksMatchSortChecker(
+        r, {AttributeList{0}, AttributeList{1}, AttributeList{2},
+            AttributeList{3}, AttributeList{4}});
   }
 }
 

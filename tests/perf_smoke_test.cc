@@ -1,16 +1,14 @@
 // Tier-1 guard for the parallel partition pipeline: OCDDISCOVER must
 // produce the same dependencies and the same check totals whichever check
-// backend (sort-based vs cached sorted partitions), SIMD kernel backend
-// (scalar fallback vs AVX2), and thread count is used. Runs on a
-// scaled-down LATTICE relation — the workload engineered to expand the
-// candidate lattice to the last level (see datagen/generators.h), so every
-// pipeline stage is exercised: sibling grouping, counting/histogram
-// refinement, publish-order determinism, and the merged OCD+OD partition
-// check.
+// backend (sort-based vs cached sorted partitions) and thread count is
+// used. Runs on a scaled-down LATTICE relation — the workload engineered
+// to expand the candidate lattice to the last level (see
+// datagen/generators.h), so every pipeline stage is exercised: sibling
+// grouping, counting/histogram refinement, publish-order determinism, and
+// the merged OCD+OD partition check.
 
 #include <gtest/gtest.h>
 
-#include "common/simd_dispatch.h"
 #include "core/ocd_discover.h"
 #include "datagen/generators.h"
 #include "relation/coded_relation.h"
@@ -52,36 +50,6 @@ TEST(PerfSmokeTest, AllBackendsAndThreadCountsAgree) {
       EXPECT_EQ(run.num_checks, reference.num_checks);
     }
   }
-}
-
-TEST(PerfSmokeTest, SimdBackendsAreBitIdentical) {
-  // The SIMD dispatch layer's core promise: the AVX2 kernels compute the
-  // same answer as the scalar fallback — dependency sets, check totals,
-  // AND the partition cache accounting — in both check modes and at both
-  // thread counts. (Cache bytes are a deterministic function of partition
-  // content via the width-adaptive storage, so they must match exactly.)
-  if (!simd::CpuHasAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
-
-  for (bool partitions : {false, true}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "partitions=" << partitions << " threads=" << threads);
-      simd::ForceBackendForTest(simd::Backend::kScalar);
-      OcdDiscoverResult scalar = RunDiscovery(partitions, threads);
-      simd::ForceBackendForTest(simd::Backend::kAvx2);
-      OcdDiscoverResult avx2 = RunDiscovery(partitions, threads);
-      EXPECT_TRUE(scalar.completed);
-      EXPECT_TRUE(avx2.completed);
-      EXPECT_EQ(scalar.ocds, avx2.ocds);
-      EXPECT_EQ(scalar.ods, avx2.ods);
-      EXPECT_EQ(scalar.num_checks, avx2.num_checks);
-      EXPECT_EQ(scalar.levels_completed, avx2.levels_completed);
-      if (partitions) {
-        EXPECT_EQ(scalar.partition_cache_bytes, avx2.partition_cache_bytes);
-      }
-    }
-  }
-  simd::Refresh();
 }
 
 TEST(PerfSmokeTest, PartitionRunsAreBitIdenticalAcrossThreadCounts) {

@@ -43,12 +43,5 @@ TEST(SortRowsByListTest, SortedIndexIsNonDecreasing) {
   }
 }
 
-TEST(StableSortRowsByListTest, PreservesBaseOrderOnTies) {
-  CodedRelation r = testutil::CodedIntTable({{1, 1, 1}});
-  std::vector<std::uint32_t> base{2, 0, 1};
-  std::vector<std::uint32_t> idx = StableSortRowsByList(r, {0}, base);
-  EXPECT_EQ(idx, (std::vector<std::uint32_t>{2, 0, 1}));
-}
-
 }  // namespace
 }  // namespace ocdd::rel

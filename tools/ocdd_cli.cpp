@@ -886,7 +886,6 @@ int CmdQa(const Args& args, const char* argv0) {
   opts.resume_runs = !args.Has("no-resume-runs");
   opts.ingest = !args.Has("no-ingest");
   opts.incremental = !args.Has("no-incremental");
-  opts.simd_fallback = !args.Has("no-simd");
   // The serve-equivalence stage drives this very binary both as an
   // in-process daemon's worker and as a direct baseline run.
   if (!args.Has("no-serve")) opts.serve_cli_path = SelfExePath(argv0);
@@ -939,8 +938,6 @@ int CmdQa(const Args& args, const char* argv0) {
                 static_cast<unsigned long long>(summary.ingest_checks));
     std::printf("  incremental-equivalence  %llu\n",
                 static_cast<unsigned long long>(summary.incremental_checks));
-    std::printf("  simd-fallback checks ... %llu\n",
-                static_cast<unsigned long long>(summary.simd_checks));
     std::printf("  serve-equivalence ...... %llu\n",
                 static_cast<unsigned long long>(summary.serve_checks));
     std::printf("  skipped (engine bound) . %llu\n",
@@ -1305,7 +1302,7 @@ void Usage() {
       "             [--repro-dir DIR] [--max-rows N] [--max-cols N]\n"
       "             [--no-metamorphic] [--no-stopped-runs]\n"
       "             [--no-resume-runs] [--no-ingest] [--no-incremental]\n"
-      "             [--no-simd] [--no-serve] [--chaos]\n"
+      "             [--no-serve] [--chaos]\n"
       "             exit 0 = clean, 3 = discrepancies (see docs/qa.md)\n"
       "<source>: a .csv path or a dataset name (YES, NO, NUMBERS, LINEITEM,\n"
       "          LETTER, DBTESMA, DBTESMA_1K, FLIGHT_1K, HEPATITIS, HORSE,\n"
@@ -1325,8 +1322,6 @@ void Usage() {
       "        otherwise; OCDD_PROFILE=1 enables it process-wide)\n"
       "       --json\n"
       "       --out FILE\n"
-      "env: OCDD_SIMD=off|scalar|avx2 pins the check-kernel backend\n"
-      "     (default: auto-detect; scalar fallback is bit-identical)\n"
       "The first Ctrl-C cancels a discovery run cooperatively: the run\n"
       "drains (writing a final checkpoint when --checkpoint is set), partial\n"
       "results are printed with a stop reason, and the exit status stays 0.\n"

@@ -2,8 +2,8 @@
 # Bench sweep with machine-readable output and baseline regression diff.
 #
 # Runs bench_fig6_threads (thread scaling, both check modes),
-# bench_table6 (cross-algorithm table), and bench_kernels (SIMD check
-# kernels per backend/width + the full-LATTICE headline run), recording
+# bench_table6 (cross-algorithm table), and bench_kernels (check kernels
+# per code width + the full-LATTICE headline run), recording
 # every measurement as JSON — one BENCH_<name>.json per bench binary,
 # written by the shared reporter in bench/bench_util.h. See
 # docs/performance.md for the format and how to compare two sweeps.
@@ -56,7 +56,7 @@ if ! skipped table6; then
 fi
 
 if ! skipped kernels; then
-  echo "==> SIMD check-kernel micro-bench (kernels)"
+  echo "==> check-kernel micro-bench (kernels)"
   OCDD_BENCH_JSON_DIR="${OUT}" \
     ./build/bench/bench_kernels | tee "${OUT}/kernels.log"
 fi

@@ -46,24 +46,6 @@ run_one() {
   ctest --test-dir "${dir}" --output-on-failure \
         -R "serve_disk|io_env|io_fault_sweep|crash_consistency|fsck" \
         --repeat until-fail:3
-  # SIMD backend passes: the check-kernel suites once with the scalar
-  # fallback pinned (OCDD_SIMD=off) and once with AVX2 explicitly
-  # requested. The AVX2 request degrades silently to scalar on CPUs
-  # without it (common/simd_dispatch.h), so the forced-AVX2 pass is safe —
-  # it just duplicates the scalar pass there; when AVX2 is present, this
-  # is the only place the sanitizers see the gather/permute kernels under
-  # a forced backend rather than auto-dispatch.
-  local simd_tests="simd_kernels|list_partition|checker|perf_smoke|sorted_index"
-  echo "==> ${preset}: check kernels with forced scalar backend (OCDD_SIMD=off)"
-  OCDD_SIMD=off ctest --test-dir "${dir}" --output-on-failure \
-        -R "${simd_tests}"
-  if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-    echo "==> ${preset}: check kernels with forced AVX2 backend (OCDD_SIMD=avx2)"
-  else
-    echo "==> ${preset}: no AVX2 on this CPU; OCDD_SIMD=avx2 pass degrades to scalar"
-  fi
-  OCDD_SIMD=avx2 ctest --test-dir "${dir}" --output-on-failure \
-        -R "${simd_tests}"
 }
 
 presets=("${@:-asan tsan}")
