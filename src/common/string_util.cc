@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 namespace ocdd {
 
@@ -70,10 +71,21 @@ std::optional<double> ParseDouble(std::string_view s) {
                  c == '.' || c == 'e' || c == 'E';
     if (!plain) return std::nullopt;
   }
-  std::string buf(s);  // strtod needs NUL termination
+  // strtod needs NUL termination; short fields (every realistic number)
+  // are copied to the stack instead of a heap string.
+  char stack[64];
+  std::string heap;
+  const char* text = stack;
+  if (s.size() < sizeof(stack)) {
+    std::memcpy(stack, s.data(), s.size());
+    stack[s.size()] = '\0';
+  } else {
+    heap.assign(s);
+    text = heap.c_str();
+  }
   char* endptr = nullptr;
-  double value = std::strtod(buf.c_str(), &endptr);
-  if (endptr != buf.c_str() + buf.size()) return std::nullopt;
+  double value = std::strtod(text, &endptr);
+  if (endptr != text + s.size()) return std::nullopt;
   return value;
 }
 

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "common/prof.h"
 
@@ -12,61 +16,147 @@ namespace ocdd::rel {
 
 namespace {
 
+/// Open-addressing (linear probing) index from keys to dense first-seen
+/// ids: the dedupe half of EncodeColumn.
+template <typename Key, typename Hash>
+class DistinctIndex {
+ public:
+  /// The id of `key`, inserting it as the next id when new.
+  std::uint32_t Insert(Key key) {
+    if (2 * (keys_.size() + 1) > slots_.size()) Grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Hash{}(key) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t slot = slots_[i];
+      if (slot == 0) {
+        slots_[i] = static_cast<std::uint32_t>(keys_.size() + 1);
+        keys_.push_back(key);
+        return slots_[i] - 1;
+      }
+      if (keys_[slot - 1] == key) return slot - 1;
+    }
+  }
+
+  /// Distinct keys, indexed by id.
+  const std::vector<Key>& keys() const { return keys_; }
+
+ private:
+  void Grow() {
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t id = 0; id < keys_.size(); ++id) {
+      std::size_t i = Hash{}(keys_[id]) & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = static_cast<std::uint32_t>(id + 1);
+    }
+  }
+
+  std::vector<Key> keys_;
+  /// Each slot holds id + 1 of the key hashed there; 0 marks it empty.
+  std::vector<std::uint32_t> slots_;
+};
+
+/// murmur3's 64-bit finalizer: spreads keys whose low bits are all equal
+/// (the images of round doubles) over the whole table.
+struct MixHash {
+  std::size_t operator()(std::uint64_t k) const {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ULL;
+    k ^= k >> 33;
+    return static_cast<std::size_t>(k);
+  }
+};
+
+constexpr std::uint64_t kSignBit = 1ULL << 63;
+
+/// Order-preserving image of an int64 as a uint64.
+std::uint64_t OrderedBits(std::int64_t v) {
+  return static_cast<std::uint64_t>(v) ^ kSignBit;
+}
+
+/// Order-preserving image of a double as a uint64. -0.0 maps to 0.0's image
+/// (they compare equal), and every NaN to one class above +inf.
+std::uint64_t OrderedBits(double v) {
+  if (v == 0.0) v = 0.0;
+  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+/// Writes the dense ranks of `key_at(row)` over the non-NULL rows of
+/// `column` into `out->codes`, NULLs first as code 0: hash-dedupe the
+/// values, sort only the distinct ones, then map each row's id to its rank.
+template <typename Key, typename Hash, typename KeyAt>
+void EncodeDistinct(const Column& column, KeyAt key_at, CodedColumn* out) {
+  const std::size_t m = column.size();
+  DistinctIndex<Key, Hash> index;
+  out->codes.resize(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    if (column.is_null(r)) {
+      out->has_nulls = true;
+      out->codes[r] = -1;
+    } else {
+      out->codes[r] = static_cast<std::int32_t>(index.Insert(key_at(r)));
+    }
+  }
+  const std::vector<Key>& keys = index.keys();
+  std::vector<std::pair<Key, std::uint32_t>> sorted(keys.size());
+  for (std::uint32_t id = 0; id < keys.size(); ++id) {
+    sorted[id] = {keys[id], id};
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::int32_t base = out->has_nulls ? 1 : 0;
+  std::vector<std::int32_t> rank(keys.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    rank[sorted[i].second] = base + static_cast<std::int32_t>(i);
+  }
+  for (std::int32_t& code : out->codes) code = code < 0 ? 0 : rank[code];
+  out->num_distinct = base + static_cast<std::int32_t>(keys.size());
+}
+
 CodedColumn EncodeColumn(const Relation& relation, ColumnId col,
                          const EncodeOptions& options) {
   const Column& column = relation.column(col);
-  std::size_t m = relation.num_rows();
+  using StringKeys = std::hash<std::string_view>;
 
   CodedColumn out;
   out.name = relation.schema().attribute(col).name;
   out.source_type = column.type();
-  out.codes.resize(m);
 
-  // Sort row ids by value (NULLs first); equal runs share a code.
-  std::vector<std::uint32_t> order(m);
-  std::iota(order.begin(), order.end(), 0);
-
-  if (options.force_lexicographic) {
-    // Rank by rendered string; NULLs still first and mutually equal.
-    std::vector<std::string> rendered(m);
-    std::vector<bool> is_null(m);
-    for (std::size_t r = 0; r < m; ++r) {
-      is_null[r] = column.is_null(r);
-      if (!is_null[r]) rendered[r] = column.ValueAt(r).ToString();
+  if (options.force_lexicographic && column.type() != DataType::kString) {
+    // Rank by rendered string; NULLs still first and mutually equal. A
+    // string cell renders as itself, so string columns skip the copy.
+    std::vector<std::string> rendered(column.size());
+    for (std::size_t r = 0; r < rendered.size(); ++r) {
+      if (!column.is_null(r)) rendered[r] = column.ValueAt(r).ToString();
     }
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) -> bool {
-                if (is_null[a] != is_null[b]) return is_null[a];
-                if (is_null[a]) return false;
-                return rendered[a] < rendered[b];
-              });
-    std::int32_t next = -1;
-    for (std::size_t i = 0; i < m; ++i) {
-      std::uint32_t r = order[i];
-      bool new_run =
-          i == 0 ||
-          is_null[order[i - 1]] != is_null[r] ||
-          (!is_null[r] && rendered[order[i - 1]] != rendered[r]);
-      if (new_run) ++next;
-      out.codes[r] = next;
-      if (is_null[r]) out.has_nulls = true;
-    }
-    out.num_distinct = m == 0 ? 0 : next + 1;
+    EncodeDistinct<std::string_view, StringKeys>(
+        column, [&](std::size_t r) { return std::string_view(rendered[r]); },
+        &out);
     return out;
   }
-
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return column.CompareRows(a, b) < 0;
-            });
-  std::int32_t next = -1;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::uint32_t r = order[i];
-    if (i == 0 || column.CompareRows(order[i - 1], r) != 0) ++next;
-    out.codes[r] = next;
-    if (column.is_null(r)) out.has_nulls = true;
+  switch (column.type()) {
+    case DataType::kInt:
+      EncodeDistinct<std::uint64_t, MixHash>(
+          column, [&](std::size_t r) { return OrderedBits(column.int_at(r)); },
+          &out);
+      break;
+    case DataType::kDouble:
+      EncodeDistinct<std::uint64_t, MixHash>(
+          column,
+          [&](std::size_t r) { return OrderedBits(column.double_at(r)); },
+          &out);
+      break;
+    case DataType::kString:
+      EncodeDistinct<std::string_view, StringKeys>(
+          column,
+          [&](std::size_t r) { return std::string_view(column.string_at(r)); },
+          &out);
+      break;
   }
-  out.num_distinct = m == 0 ? 0 : next + 1;
   return out;
 }
 

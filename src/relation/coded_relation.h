@@ -121,7 +121,10 @@ class CodedRelation {
  public:
   CodedRelation() = default;
 
-  /// Encodes every column of `relation`. O(m log m) per column.
+  /// Encodes every column of `relation`: hash-dedupes each column's
+  /// non-NULL values and sorts only the distinct ones, O(m + d log d) per
+  /// column with d distinct values. Doubles rank -0.0 equal to 0.0 and any
+  /// NaN (CSV ingest never produces one) as a single class above +inf.
   static CodedRelation Encode(const Relation& relation,
                               const EncodeOptions& options = {});
 

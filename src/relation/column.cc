@@ -10,6 +10,33 @@ Column Column::FromValues(DataType type, const std::vector<Value>& values) {
   return col;
 }
 
+Column Column::FromInts(std::vector<std::int64_t> values,
+                        std::vector<bool> nulls) {
+  assert(values.size() == nulls.size());
+  Column col(DataType::kInt);
+  col.ints_ = std::move(values);
+  col.nulls_ = std::move(nulls);
+  return col;
+}
+
+Column Column::FromDoubles(std::vector<double> values,
+                           std::vector<bool> nulls) {
+  assert(values.size() == nulls.size());
+  Column col(DataType::kDouble);
+  col.doubles_ = std::move(values);
+  col.nulls_ = std::move(nulls);
+  return col;
+}
+
+Column Column::FromStrings(std::vector<std::string> values,
+                           std::vector<bool> nulls) {
+  assert(values.size() == nulls.size());
+  Column col(DataType::kString);
+  col.strings_ = std::move(values);
+  col.nulls_ = std::move(nulls);
+  return col;
+}
+
 Value Column::ValueAt(std::size_t row) const {
   if (nulls_[row]) return Value::Null();
   switch (type_) {

@@ -24,6 +24,15 @@ class Column {
   /// NULL (integer values are widened when `type` is kDouble).
   static Column FromValues(DataType type, const std::vector<Value>& values);
 
+  /// Typed factories: wrap a typed vector and its NULL mask (equal lengths;
+  /// NULL cells hold a default-constructed slot) without per-cell Values.
+  static Column FromInts(std::vector<std::int64_t> values,
+                         std::vector<bool> nulls);
+  static Column FromDoubles(std::vector<double> values,
+                            std::vector<bool> nulls);
+  static Column FromStrings(std::vector<std::string> values,
+                            std::vector<bool> nulls);
+
   DataType type() const { return type_; }
   std::size_t size() const { return nulls_.size(); }
 

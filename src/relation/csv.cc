@@ -1,8 +1,10 @@
 #include "relation/csv.h"
 
 #include <algorithm>
+#include <deque>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <string_view>
 
 #include "common/io_env.h"
 #include "common/run_context.h"
@@ -23,11 +25,12 @@ const char* BadRowPolicyName(BadRowPolicy policy) {
 
 namespace {
 
-/// One physical record as scanned from the raw text: its fields when it
-/// tokenized cleanly, or a structured error plus the raw byte span
-/// `[begin, end)` (terminator excluded) for quarantining.
+/// One physical record as scanned from the raw text: its fields (views into
+/// the input text, or into the scanner's arena for fields that needed
+/// unescaping) when it tokenized cleanly, or a structured error plus the
+/// raw byte span `[begin, end)` (terminator excluded) for quarantining.
 struct RawRecord {
-  std::vector<std::string> fields;
+  std::vector<std::string_view> fields;
   std::size_t begin = 0;
   std::size_t end = 0;
   /// 1-based physical record number (header counts as row 1).
@@ -42,6 +45,12 @@ struct RawRecord {
 /// terminator, so one mangled row cannot take the rest of the file with it.
 /// The declared CsvLimits are enforced while scanning — before the parser
 /// buffers more than one limit's worth of bytes on the input's behalf.
+///
+/// A field is a view of the input bytes when they spell it verbatim (an
+/// unquoted field, or a quoted one without a doubled quote). A field that
+/// needs unescaping (`"a""b"`, `"ab"cd`) is copied once into the arena,
+/// whose strings never move: every view stays valid while both `text` and
+/// the scanner live.
 class RecordScanner {
  public:
   RecordScanner(const std::string& text, const CsvOptions& options,
@@ -72,15 +81,41 @@ class RecordScanner {
     rec->row = ++row_;
 
     const CsvLimits& lim = options_.limits;
-    std::string field;
+    // The field so far: `field_len` unescaped bytes, either the input span
+    // starting at `field_begin` or, once `materialized`, `unescaped_`.
+    std::size_t field_begin = 0;
+    std::size_t field_len = 0;
+    bool materialized = false;
     bool in_quotes = false;
     bool field_was_quoted = false;
     std::size_t quote_open_pos = 0;
 
+    auto append = [&](std::size_t i) {
+      if (materialized) {
+        unescaped_.push_back(text_[i]);
+      } else if (field_len == 0) {
+        field_begin = i;
+      } else if (field_begin + field_len != i) {
+        // The input skipped a byte (a quote): the field is no longer a
+        // verbatim span.
+        unescaped_.assign(text_, field_begin, field_len);
+        unescaped_.push_back(text_[i]);
+        materialized = true;
+      }
+      ++field_len;
+    };
     auto end_field = [&]() -> bool {
       if (rec->fields.size() >= lim.max_columns) return false;
-      rec->fields.push_back(std::move(field));
-      field.clear();
+      std::string_view field;
+      if (materialized) {
+        arena_.push_back(unescaped_);
+        field = arena_.back();
+      } else if (field_len > 0) {
+        field = std::string_view(text_.data() + field_begin, field_len);
+      }
+      rec->fields.push_back(field);
+      field_len = 0;
+      materialized = false;
       field_was_quoted = false;
       return true;
     };
@@ -108,7 +143,7 @@ class RecordScanner {
       if (in_quotes) {
         if (c == '"') {
           if (i + 1 < n && text_[i + 1] == '"') {
-            field.push_back('"');
+            append(i);
             pos_ += 2;
           } else {
             in_quotes = false;
@@ -116,17 +151,17 @@ class RecordScanner {
           }
           continue;
         }
-        if (field.size() >= lim.max_field_bytes) {
+        if (field_len >= lim.max_field_bytes) {
           Fail(rec, IngestErrorCode::kFieldTooLarge, i, rec->fields.size() + 1,
                "field exceeds max_field_bytes=" +
                    std::to_string(lim.max_field_bytes));
           return true;
         }
-        field.push_back(c);
+        append(i);
         ++pos_;
         continue;
       }
-      if (c == '"' && field.empty() && !field_was_quoted) {
+      if (c == '"' && field_len == 0 && !field_was_quoted) {
         in_quotes = true;
         field_was_quoted = true;
         quote_open_pos = i;
@@ -149,13 +184,33 @@ class RecordScanner {
         }
         return true;
       }
-      if (field.size() >= lim.max_field_bytes) {
+      if (field_len >= lim.max_field_bytes) {
         Fail(rec, IngestErrorCode::kFieldTooLarge, i, rec->fields.size() + 1,
              "field exceeds max_field_bytes=" +
                  std::to_string(lim.max_field_bytes));
         return true;
       }
-      field.push_back(c);
+      if (field_len == 0) {
+        // An unquoted field: every byte up to the next separator, line
+        // terminator or NUL is data. The scan stops short of the limits so
+        // the checks above run on the byte that trips one.
+        const char* data = text_.data();
+        // Both limits have room for byte i (checked above), so neither
+        // difference underflows.
+        const std::size_t stop =
+            i + std::min({n - i, lim.max_record_bytes - (i - rec->begin),
+                          lim.max_field_bytes});
+        std::size_t j = i + 1;
+        while (j < stop && data[j] != options_.separator && data[j] != '\n' &&
+               data[j] != '\r' && data[j] != '\0') {
+          ++j;
+        }
+        field_begin = i;
+        field_len = j - i;
+        pos_ = j;
+        continue;
+      }
+      append(i);
       ++pos_;
     }
     // End of input inside a record.
@@ -173,10 +228,11 @@ class RecordScanner {
   }
 
  private:
-  /// Marks the record bad and resynchronizes at the next raw '\n' after
-  /// `offset`. The scan is quote-blind: once a record is structurally
-  /// broken its quote state cannot be trusted, and a plain line boundary is
-  /// the recovery point that salvages the most subsequent rows.
+  /// Marks the record bad and resynchronizes at the next raw line
+  /// terminator (LF, CRLF or lone CR) at or after `offset`. The scan is
+  /// quote-blind: once a record is structurally broken its quote state
+  /// cannot be trusted, and a plain line boundary is the recovery point
+  /// that salvages the most subsequent rows.
   void Fail(RawRecord* rec, IngestErrorCode code, std::size_t offset,
             std::uint64_t column, std::string detail) {
     rec->ok = false;
@@ -185,14 +241,21 @@ class RecordScanner {
     rec->error.row = rec->row;
     rec->error.column = column;
     rec->error.detail = std::move(detail);
-    const std::size_t term = text_.find('\n', offset);
+    const std::size_t term = text_.find_first_of("\r\n", offset);
     if (term == std::string::npos) {
       rec->end = text_.size();
       pos_ = text_.size();
     } else {
-      rec->end = (term > rec->begin && text_[term - 1] == '\r') ? term - 1
-                                                                : term;
-      pos_ = term + 1;
+      // A failure between the CR and LF of a CRLF still ends the record
+      // before the CR.
+      rec->end = (text_[term] == '\n' && term > rec->begin &&
+                  text_[term - 1] == '\r')
+                     ? term - 1
+                     : term;
+      pos_ = term + ((text_[term] == '\r' && term + 1 < text_.size() &&
+                      text_[term + 1] == '\n')
+                         ? 2
+                         : 1);
     }
     rec->error.excerpt = SanitizeExcerpt(
         text_.substr(rec->begin,
@@ -203,6 +266,11 @@ class RecordScanner {
   const CsvOptions& options_;
   std::size_t pos_;
   std::uint64_t row_ = 0;
+  /// Unescaped bytes of the field being scanned, when it is not a verbatim
+  /// input span.
+  std::string unescaped_;
+  /// Materialized fields; a deque never relocates its elements.
+  std::deque<std::string> arena_;
 };
 
 constexpr std::size_t kMaxErrorSamples = 5;
@@ -236,7 +304,9 @@ Result<CsvRead> ReadCsvWithReport(const std::string& text,
   RawRecord rec;
 
   std::vector<std::string> names;
-  std::vector<std::vector<std::string>> rows;
+  // Accepted records' fields, one vector per column: type inference and
+  // parsing walk a column at a time.
+  std::vector<std::vector<std::string_view>> fields;
   bool have_width = false;
   std::size_t width = 0;
 
@@ -269,8 +339,9 @@ Result<CsvRead> ReadCsvWithReport(const std::string& text,
       if (!rec.ok) return rec.error.ToStatus();
       width = rec.fields.size();
       have_width = true;
+      fields.resize(width);
       if (options.has_header) {
-        names = std::move(rec.fields);
+        names.assign(rec.fields.begin(), rec.fields.end());
         continue;
       }
       for (std::size_t i = 0; i < width; ++i) {
@@ -297,7 +368,7 @@ Result<CsvRead> ReadCsvWithReport(const std::string& text,
       OCDD_RETURN_IF_ERROR(reject(rec, RaggedRowError(text, rec, width)));
       continue;
     }
-    rows.push_back(std::move(rec.fields));
+    for (std::size_t c = 0; c < width; ++c) fields[c].push_back(rec.fields[c]);
     ++report.rows_ingested;
   }
 
@@ -325,31 +396,18 @@ Result<CsvRead> ReadCsvWithReport(const std::string& text,
     report.quarantined_rows.clear();
   }
 
-  // Per-column type inference over the ingested rows.
   std::vector<Attribute> attrs(width);
-  std::vector<std::string> fields;
-  fields.reserve(rows.size());
+  std::vector<Column> columns;
+  columns.reserve(width);
   for (std::size_t c = 0; c < width; ++c) {
-    fields.clear();
-    for (const auto& row : rows) {
-      fields.push_back(row[c]);
-    }
-    attrs[c].name = names[c];
-    attrs[c].type = InferColumnType(fields, options.type_inference);
+    columns.push_back(ParseColumn(fields[c], options.type_inference));
+    fields[c] = {};
+    attrs[c].name = std::move(names[c]);
+    attrs[c].type = columns.back().type();
   }
-
-  std::vector<DataType> types(width);
-  for (std::size_t c = 0; c < width; ++c) types[c] = attrs[c].type;
-
-  Relation::Builder builder{Schema(std::move(attrs))};
-  std::vector<Value> row_values(width);
-  for (const auto& row : rows) {
-    for (std::size_t c = 0; c < width; ++c) {
-      row_values[c] = ParseField(row[c], types[c], options.type_inference);
-    }
-    OCDD_RETURN_IF_ERROR(builder.AddRow(row_values));
-  }
-  out.relation = std::move(builder).Build();
+  OCDD_ASSIGN_OR_RETURN(out.relation,
+                        Relation::FromColumns(Schema(std::move(attrs)),
+                                              std::move(columns)));
   return out;
 }
 
@@ -359,9 +417,21 @@ Result<CsvRead> ReadCsvFileWithReport(const std::string& path,
   if (!in) {
     return Status::NotFound("cannot open file: " + path);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadCsvWithReport(buf.str(), options);
+  std::string text;
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  if (size >= 0) {
+    text.resize(static_cast<std::size_t>(size));
+    in.seekg(0, std::ios::beg);
+    in.read(text.data(), size);
+    text.resize(static_cast<std::size_t>(in.gcount()));
+  } else {
+    // Not seekable (a pipe): stream it.
+    in.clear();
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  return ReadCsvWithReport(text, options);
 }
 
 Result<Relation> ReadCsvString(const std::string& text,

@@ -1,58 +1,88 @@
 #include "relation/type_inference.h"
 
-#include <string>
-
 #include "common/string_util.h"
 
 namespace ocdd::rel {
 
-bool IsNullMarker(const std::string& field, const TypeInferenceOptions& opts) {
-  std::string_view stripped = StripAsciiWhitespace(field);
+namespace {
+
+bool IsStrippedNullMarker(std::string_view stripped,
+                          const TypeInferenceOptions& opts) {
   for (const std::string& marker : opts.null_markers) {
     if (stripped == marker) return true;
   }
   return false;
 }
 
-DataType InferColumnType(const std::vector<std::string>& fields,
-                         const TypeInferenceOptions& opts) {
-  if (opts.force_lexicographic) return DataType::kString;
-  bool all_int = true;
-  bool all_double = true;
-  bool any_value = false;
-  for (const std::string& f : fields) {
-    if (IsNullMarker(f, opts)) continue;
-    any_value = true;
-    std::string_view stripped = StripAsciiWhitespace(f);
-    if (all_int && !ParseInt64(stripped).has_value()) all_int = false;
-    if (!all_int && all_double && !ParseDouble(stripped).has_value()) {
-      all_double = false;
-    }
-    if (!all_int && !all_double) return DataType::kString;
-  }
-  if (!any_value) return DataType::kString;
-  if (all_int) return DataType::kInt;
-  if (all_double) return DataType::kDouble;
-  return DataType::kString;
+}  // namespace
+
+bool IsNullMarker(std::string_view field, const TypeInferenceOptions& opts) {
+  return IsStrippedNullMarker(StripAsciiWhitespace(field), opts);
 }
 
-Value ParseField(const std::string& field, DataType type,
-                 const TypeInferenceOptions& opts) {
-  if (IsNullMarker(field, opts)) return Value::Null();
-  std::string_view stripped = StripAsciiWhitespace(field);
-  switch (type) {
-    case DataType::kInt: {
-      auto v = ParseInt64(stripped);
-      return v ? Value::Int(*v) : Value::Null();
+Column ParseColumn(std::span<const std::string_view> fields,
+                   const TypeInferenceOptions& opts) {
+  const std::size_t count = fields.size();
+  std::vector<bool> nulls(count);
+  // Rows [0, r) are NULL-classified when a typed attempt gives up at row r.
+  std::size_t r = 0;
+  if (!opts.force_lexicographic) {
+    bool any_value = false;
+    std::vector<std::int64_t> ints(count);
+    for (; r < count; ++r) {
+      std::string_view s = StripAsciiWhitespace(fields[r]);
+      if (IsStrippedNullMarker(s, opts)) {
+        nulls[r] = true;
+        continue;
+      }
+      any_value = true;
+      auto v = ParseInt64(s);
+      if (!v.has_value()) break;
+      ints[r] = *v;
     }
-    case DataType::kDouble: {
-      auto v = ParseDouble(stripped);
-      return v ? Value::Double(*v) : Value::Null();
+    if (r == count) {
+      if (any_value) return Column::FromInts(std::move(ints), std::move(nulls));
+      return Column::FromStrings(std::vector<std::string>(count),
+                                 std::move(nulls));
     }
-    case DataType::kString:
-      return Value::String(std::string(field));
+    ints = {};
+
+    // Row r is the first non-int: re-parse the ints before it as doubles
+    // (strtod, so "-0" stays -0.0) and go on from r.
+    std::vector<double> doubles(count);
+    std::vector<bool> double_nulls = nulls;
+    for (std::size_t i = 0; i < r; ++i) {
+      if (nulls[i]) continue;
+      auto d = ParseDouble(StripAsciiWhitespace(fields[i]));
+      if (d.has_value()) {
+        doubles[i] = *d;
+      } else {
+        double_nulls[i] = true;  // e.g. "+-5": an int64, not a double
+      }
+    }
+    for (; r < count; ++r) {
+      std::string_view s = StripAsciiWhitespace(fields[r]);
+      if (IsStrippedNullMarker(s, opts)) {
+        nulls[r] = true;
+        double_nulls[r] = true;
+        continue;
+      }
+      auto d = ParseDouble(s);
+      if (!d.has_value()) break;
+      doubles[r] = *d;
+    }
+    if (r == count) {
+      return Column::FromDoubles(std::move(doubles), std::move(double_nulls));
+    }
   }
-  return Value::Null();
+
+  std::vector<std::string> strings(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string_view f = fields[i];
+    if (i >= r) nulls[i] = IsNullMarker(f, opts);
+    if (!nulls[i]) strings[i].assign(f);
+  }
+  return Column::FromStrings(std::move(strings), std::move(nulls));
 }
 
 }  // namespace ocdd::rel

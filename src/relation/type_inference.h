@@ -1,10 +1,12 @@
 #ifndef OCDD_RELATION_TYPE_INFERENCE_H_
 #define OCDD_RELATION_TYPE_INFERENCE_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "relation/value.h"
+#include "relation/column.h"
 
 namespace ocdd::rel {
 
@@ -22,21 +24,19 @@ struct TypeInferenceOptions {
 };
 
 /// Returns true if `field` denotes NULL under `opts`.
-bool IsNullMarker(const std::string& field, const TypeInferenceOptions& opts);
+bool IsNullMarker(std::string_view field, const TypeInferenceOptions& opts);
 
-/// Infers the most specific type for a column of raw text fields:
-/// kInt if every non-null field parses as int64, else kDouble if every
-/// non-null field parses as double, else kString. An all-NULL column is
-/// kString.
-DataType InferColumnType(const std::vector<std::string>& fields,
-                         const TypeInferenceOptions& opts);
-
-/// Converts one raw field to a typed value; `type` should come from
-/// `InferColumnType` over the column (a non-conforming field falls back to
-/// NULL for kInt/kDouble, which cannot happen when `type` was inferred from
-/// this column).
-Value ParseField(const std::string& field, DataType type,
-                 const TypeInferenceOptions& opts);
+/// Infers the type of one column from its raw text fields and parses them
+/// into a typed column, in one pass per type tried. NULL markers are
+/// recognized after whitespace stripping. The type is kInt if every
+/// non-NULL field parses as int64, else kDouble if every non-NULL field
+/// from the first non-int on parses as double, else kString; an all-NULL
+/// column (and every column under `force_lexicographic`) is kString.
+/// kInt/kDouble cells hold the stripped field's value; an int field that
+/// does not parse as a double in a kDouble column becomes NULL. kString
+/// cells hold the raw, unstripped field.
+Column ParseColumn(std::span<const std::string_view> fields,
+                   const TypeInferenceOptions& opts);
 
 }  // namespace ocdd::rel
 

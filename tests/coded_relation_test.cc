@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 
 #include "relation/csv.h"
 #include "test_util.h"
@@ -193,6 +200,127 @@ TEST(CodedRelationTest, MixedDoubleIntColumnOrdering) {
   ASSERT_TRUE(b.AddRow({Value::Double(2.0)}).ok());
   CodedRelation r = CodedRelation::Encode(std::move(b).Build());
   EXPECT_EQ(r.column(0).codes, (std::vector<std::int32_t>{1, 0, 2}));
+}
+
+/// Dense ranks of the column's cells under Value::Compare (NULLs first and
+/// equal); under `lex` every non-NULL cell compares as its rendering.
+std::vector<std::int32_t> ReferenceRanks(const Column& column, bool lex) {
+  std::vector<Value> cells;
+  for (std::size_t r = 0; r < column.size(); ++r) {
+    Value v = column.ValueAt(r);
+    cells.push_back(lex && !v.is_null() ? Value::String(v.ToString()) : v);
+  }
+  auto less = [](const Value& a, const Value& b) {
+    return Value::Compare(a, b) < 0;
+  };
+  std::vector<Value> distinct = cells;
+  std::sort(distinct.begin(), distinct.end(), less);
+  distinct.erase(std::unique(distinct.begin(), distinct.end(),
+                             [](const Value& a, const Value& b) {
+                               return Value::Compare(a, b) == 0;
+                             }),
+                 distinct.end());
+  std::vector<std::int32_t> ranks;
+  for (const Value& v : cells) {
+    ranks.push_back(static_cast<std::int32_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), v, less) -
+        distinct.begin()));
+  }
+  return ranks;
+}
+
+/// A random value pool for one column type: the edge cases first, then
+/// `extra` random draws.
+std::vector<Value> ValuePool(Rng& rng, DataType type, std::size_t extra) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<Value> pool;
+  switch (type) {
+    case DataType::kInt:
+      pool = {Value::Int(kMin), Value::Int(kMax), Value::Int(0),
+              Value::Int(-1), Value::Int(1)};
+      for (std::size_t i = 0; i < extra; ++i) {
+        pool.push_back(Value::Int(static_cast<std::int64_t>(rng.Next())));
+      }
+      break;
+    case DataType::kDouble:
+      // Ints widen into a double column; -0.0 and 0.0 are one value.
+      pool = {Value::Double(-0.0),      Value::Double(0.0),
+              Value::Int(0),            Value::Int(kMax),
+              Value::Int(kMin),         Value::Double(9.2233720368547758e18),
+              Value::Double(-1e-300),   Value::Double(1e300),
+              Value::Double(0.1),       Value::Int(3)};
+      for (std::size_t i = 0; i < extra; ++i) {
+        if (rng.Uniform(2) == 0) {
+          pool.push_back(Value::Int(rng.UniformInt(-1000, 1000)));
+        } else {
+          pool.push_back(Value::Double((rng.UniformDouble() - 0.5) * 1e6));
+        }
+      }
+      break;
+    case DataType::kString:
+      pool = {Value::String(""),    Value::String("a"),
+              Value::String("ab"),  Value::String("abc"),
+              Value::String("abd"), Value::String("b")};
+      for (std::size_t i = 0; i < extra; ++i) {
+        pool.push_back(
+            Value::String("key_" + std::to_string(rng.Uniform(1000000))));
+      }
+      break;
+  }
+  return pool;
+}
+
+TEST(CodedRelationTest, CodesAreDenseRanksUnderValueCompare) {
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    Rng rng(seed);
+    const std::size_t m = rng.Uniform(300);
+    const bool low_cardinality = rng.Uniform(2) == 0;
+    std::vector<Attribute> attrs;
+    std::vector<Column> columns;
+    for (DataType type :
+         {DataType::kInt, DataType::kDouble, DataType::kString}) {
+      std::vector<Value> pool = ValuePool(rng, type, low_cardinality ? 0 : m);
+      if (low_cardinality) {
+        rng.Shuffle(pool);
+        pool.resize(1 + rng.Uniform(3));
+      }
+      std::vector<Value> cells;
+      for (std::size_t r = 0; r < m; ++r) {
+        cells.push_back(pool[rng.Uniform(pool.size())]);
+      }
+      // A NULL block (sometimes the whole column).
+      if (m > 0 && rng.Uniform(3) == 0) {
+        std::size_t begin = rng.Uniform(m);
+        std::size_t end = begin + rng.Uniform(m - begin + 1);
+        if (rng.Uniform(4) == 0) begin = 0, end = m;
+        for (std::size_t r = begin; r < end; ++r) cells[r] = Value::Null();
+      }
+      attrs.push_back(Attribute{DataTypeName(type), type});
+      columns.push_back(Column::FromValues(type, cells));
+    }
+    auto rel = Relation::FromColumns(Schema(attrs), std::move(columns));
+    ASSERT_TRUE(rel.ok());
+    for (bool lex : {false, true}) {
+      EncodeOptions opts;
+      opts.force_lexicographic = lex;
+      CodedRelation coded = CodedRelation::Encode(*rel, opts);
+      for (ColumnId c = 0; c < rel->num_columns(); ++c) {
+        std::vector<std::int32_t> want = ReferenceRanks(rel->column(c), lex);
+        const CodedColumn& got = coded.column(c);
+        EXPECT_EQ(got.codes, want)
+            << "seed " << seed << " column " << attrs[c].name << " lex " << lex;
+        std::int32_t distinct =
+            want.empty() ? 0 : *std::max_element(want.begin(), want.end()) + 1;
+        EXPECT_EQ(got.num_distinct, distinct) << "seed " << seed;
+        bool nulls = false;
+        for (std::size_t r = 0; r < rel->num_rows(); ++r) {
+          nulls = nulls || rel->column(c).is_null(r);
+        }
+        EXPECT_EQ(got.has_nulls, nulls) << "seed " << seed;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/run_context.h"
+#include "datagen/registry.h"
+#include "relation/coded_relation.h"
 
 namespace ocdd::rel {
 namespace {
@@ -330,6 +336,110 @@ TEST(CsvPolicyTest, CleanInputReportsClean) {
   EXPECT_TRUE(r->report.clean());
   EXPECT_EQ(r->report.rows_ingested, 2u);
   EXPECT_TRUE(r->report.rejected_by_code.empty());
+}
+
+TEST(CsvPolicyTest, ResyncAfterBadRowAgreesAcrossTerminators) {
+  // A ragged row and a NUL row among good ones. The NUL row fails inside
+  // the scanner, which must resync at the next terminator of any kind: a
+  // CR-terminated file loses no row an LF or CRLF one keeps.
+  const std::vector<std::string> lines = {
+      "a,b", "1,x", "2", std::string("3,y\0z", 5), "4,w", "5,v", "6,u"};
+  CsvOptions opts;
+  opts.on_bad_row = BadRowPolicy::kQuarantine;
+  std::vector<CsvIngestReport> reports;
+  for (const char* term : {"\n", "\r\n", "\r"}) {
+    std::string text;
+    for (const std::string& line : lines) text += line + term;
+    auto r = ReadCsvWithReport(text, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    reports.push_back(r->report);
+  }
+  EXPECT_EQ(reports[0].rows_ingested, 4u);
+  EXPECT_EQ(reports[0].rows_rejected, 2u);
+  EXPECT_EQ(reports[0].quarantined_rows,
+            (std::vector<std::string>{"2", std::string("3,y\0z", 5)}));
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].rows_ingested, reports[0].rows_ingested) << i;
+    EXPECT_EQ(reports[i].rows_rejected, reports[0].rows_rejected) << i;
+    EXPECT_EQ(reports[i].quarantined_rows, reports[0].quarantined_rows) << i;
+  }
+}
+
+TEST(CsvInferenceTest, PaddedSignedAndQuotedIntsStayInt) {
+  auto r = ReadCsvString("a\n 5 \n+5\n\"7\"\n");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->schema().attribute(0).type, DataType::kInt);
+  EXPECT_EQ(r->ValueAt(0, 0), Value::Int(5));
+  EXPECT_EQ(r->ValueAt(1, 0), Value::Int(5));
+  EXPECT_EQ(r->ValueAt(2, 0), Value::Int(7));
+}
+
+TEST(CsvInferenceTest, OverflowingDoubleIsInfinity) {
+  auto r = ReadCsvString("a\n1e400\n");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->schema().attribute(0).type, DataType::kDouble);
+  EXPECT_EQ(r->column(0).double_at(0), std::numeric_limits<double>::infinity());
+}
+
+TEST(CsvInferenceTest, LateNonIntTurnsColumnDoubleExactlyAsStrtod) {
+  // 1000 ints (with a negative zero and a leading '+'), then one decimal:
+  // every row of the kDouble column is bit-equal to strtod of its text.
+  std::vector<std::string> texts;
+  for (int i = 0; i < 1000; ++i) {
+    texts.push_back(std::to_string(i * 7919 - 3000000));
+  }
+  texts[10] = "-0";
+  texts[20] = "+42";
+  texts.push_back("2.5");
+  std::string csv = "a\n";
+  for (const std::string& t : texts) csv += t + "\n";
+  auto r = ReadCsvString(csv);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->schema().attribute(0).type, DataType::kDouble);
+  ASSERT_EQ(r->num_rows(), texts.size());
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    const double want = std::strtod(texts[i].c_str(), nullptr);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r->column(0).double_at(i)),
+              std::bit_cast<std::uint64_t>(want))
+        << texts[i];
+  }
+}
+
+TEST(CsvInferenceTest, IntThenTextKeepsRawUnstrippedStrings) {
+  auto r = ReadCsvString("a\n1\n 2 \nfoo\n");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->schema().attribute(0).type, DataType::kString);
+  EXPECT_EQ(r->ValueAt(0, 0), Value::String("1"));
+  EXPECT_EQ(r->ValueAt(1, 0), Value::String(" 2 "));
+  EXPECT_EQ(r->ValueAt(2, 0), Value::String("foo"));
+}
+
+TEST(CsvInferenceTest, QuotedPartJoinsUnquotedBytes) {
+  auto r = ReadCsvString("a,b\n\"ab\"cd,\"x\"\"y\"z\n");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->ValueAt(0, 0), Value::String("abcd"));
+  EXPECT_EQ(r->ValueAt(0, 1), Value::String("x\"yz"));
+}
+
+TEST(CsvRoundTripTest, GeneratorRelationsEncodeIdentically) {
+  for (const char* name : {"LINEITEM", "DBTESMA", "HORSE"}) {
+    auto rel = datagen::MakeDataset(name, 500);
+    ASSERT_TRUE(rel.ok()) << name;
+    auto back = ReadCsvString(WriteCsvString(*rel));
+    ASSERT_TRUE(back.ok()) << name;
+    CodedRelation want = CodedRelation::Encode(*rel);
+    CodedRelation got = CodedRelation::Encode(*back);
+    ASSERT_EQ(got.num_columns(), want.num_columns()) << name;
+    bool any_nulls = false;
+    for (ColumnId c = 0; c < want.num_columns(); ++c) {
+      EXPECT_EQ(got.column(c).codes, want.column(c).codes)
+          << name << "." << want.column_name(c);
+      any_nulls = any_nulls || want.column(c).has_nulls;
+    }
+    if (std::string_view(name) == "HORSE") {
+      EXPECT_TRUE(any_nulls);
+    }
+  }
 }
 
 TEST(CsvWriteTest, SingleColumnEmptyValueSurvivesRoundTrip) {

@@ -46,6 +46,14 @@ run_one() {
   ctest --test-dir "${dir}" --output-on-failure \
         -R "serve_disk|io_env|io_fault_sweep|crash_consistency|fsck" \
         --repeat until-fail:3
+  # Ingest pass: CSV fields are string views into the input text and into
+  # the scanner's arena of unescaped fields, and the encoder's dedupe index
+  # holds views into the columns. ASan must see every one of those
+  # lifetimes exercised on clean, dirty and fuzz-corpus input.
+  echo "==> ${preset}: CSV ingest + encode (repeated)"
+  ctest --test-dir "${dir}" --output-on-failure \
+        -R "csv|coded_relation|fuzz_lite|ingest_cli|null_semantics" \
+        --repeat until-fail:3
 }
 
 presets=("${@:-asan tsan}")
