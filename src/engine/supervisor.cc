@@ -329,7 +329,8 @@ std::string MergedResultJson(const SuperviseResult& result) {
   using report::JsonValue;
   std::map<std::string, JsonValue> root;
   if (result.have_report) {
-    root = result.final_report.object();
+    const auto& members = result.final_report.object();
+    root.insert(members.begin(), members.end());
   }
 
   std::vector<JsonValue> attempts;

@@ -729,7 +729,8 @@ void AppendJsonString(std::string& out, const std::string& s) {
 /// (timing), then re-serializes with the canonical sorted-key writer. Every
 /// semantic key — the dependency sets above all — survives verbatim.
 std::string CanonicalReportForCompare(const report::JsonValue& doc) {
-  std::map<std::string, report::JsonValue> members = doc.object();
+  std::map<std::string, report::JsonValue> members(doc.object().begin(),
+                                                   doc.object().end());
   members.erase("elapsed_seconds");
   members.erase("checkpoint");
   return report::SerializeJson(report::JsonValue::Object(std::move(members)));

@@ -1,301 +1,418 @@
 #include "report/json_reader.h"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <set>
 
 #include "report/json_writer.h"
 
 namespace ocdd::report {
 
+using Member = JsonValue::Member;
+
 JsonValue JsonValue::Bool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
+  return JsonValue(std::in_place_type<bool>, b);
 }
 
 JsonValue JsonValue::Number(double d) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = d;
-  return v;
+  return JsonValue(std::in_place_type<double>, d);
 }
 
 JsonValue JsonValue::String(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
-  return v;
+  return JsonValue(std::in_place_type<std::string>, std::move(s));
 }
 
 JsonValue JsonValue::Array(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.array_ = std::move(items);
-  return v;
+  return JsonValue(std::in_place_type<std::vector<JsonValue>>,
+                   std::move(items));
 }
 
 JsonValue JsonValue::Object(std::map<std::string, JsonValue> members) {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.object_ = std::move(members);
-  return v;
+  // A map is already sorted with unique keys.
+  std::vector<Member> sorted;
+  sorted.reserve(members.size());
+  while (!members.empty()) {
+    auto node = members.extract(members.begin());
+    sorted.emplace_back(std::move(node.key()), std::move(node.mapped()));
+  }
+  return JsonValue(std::in_place_type<std::vector<Member>>, std::move(sorted));
 }
 
 namespace {
-const JsonValue& SharedNull() {
-  static const JsonValue& null = *new JsonValue();
-  return null;
+
+template <typename T>
+const T& Empty() {
+  static const T& empty = *new T();
+  return empty;
 }
+
+/// The `T` alternative of `value`, or an empty `T` for another kind.
+template <typename T, typename Variant>
+const T& GetOrEmpty(const Variant& value) {
+  const T* held = std::get_if<T>(&value);
+  return held == nullptr ? Empty<T>() : *held;
+}
+
+/// The member named `key` in sorted `members`, or `members.end()`.
+template <typename Members>
+auto FindMember(Members& members, std::string_view key) {
+  auto it = std::lower_bound(
+      members.begin(), members.end(), key,
+      [](const Member& m, std::string_view k) { return m.first < k; });
+  return it != members.end() && it->first == key ? it : members.end();
+}
+
 }  // namespace
 
-const JsonValue& JsonValue::operator[](const std::string& key) const {
-  if (kind_ != Kind::kObject) return SharedNull();
-  auto it = object_.find(key);
-  return it == object_.end() ? SharedNull() : it->second;
+bool JsonValue::bool_value() const { return GetOrEmpty<bool>(value_); }
+
+double JsonValue::number_value() const { return GetOrEmpty<double>(value_); }
+
+const std::string& JsonValue::string_value() const {
+  return GetOrEmpty<std::string>(value_);
+}
+
+const std::vector<JsonValue>& JsonValue::array() const {
+  return GetOrEmpty<std::vector<JsonValue>>(value_);
+}
+
+const std::vector<Member>& JsonValue::object() const {
+  return GetOrEmpty<std::vector<Member>>(value_);
+}
+
+const JsonValue& JsonValue::operator[](std::string_view key) const {
+  const std::vector<Member>& members = object();
+  auto it = FindMember(members, key);
+  return it == members.end() ? Empty<JsonValue>() : it->second;
 }
 
 const JsonValue& JsonValue::operator[](std::size_t index) const {
-  if (kind_ != Kind::kArray || index >= array_.size()) return SharedNull();
-  return array_[index];
+  const std::vector<JsonValue>& items = array();
+  return index < items.size() ? items[index] : Empty<JsonValue>();
 }
 
-bool operator==(const JsonValue& a, const JsonValue& b) {
-  if (a.kind_ != b.kind_) return false;
-  switch (a.kind_) {
-    case JsonValue::Kind::kNull:
-      return true;
-    case JsonValue::Kind::kBool:
-      return a.bool_ == b.bool_;
-    case JsonValue::Kind::kNumber:
-      return a.number_ == b.number_;
-    case JsonValue::Kind::kString:
-      return a.string_ == b.string_;
-    case JsonValue::Kind::kArray:
-      return a.array_ == b.array_;
-    case JsonValue::Kind::kObject:
-      return a.object_ == b.object_;
-  }
-  return false;
+JsonValue JsonValue::Take(std::string_view key) {
+  auto* members = std::get_if<std::vector<Member>>(&value_);
+  if (members == nullptr) return JsonValue();
+  auto it = FindMember(*members, key);
+  return it == members->end() ? JsonValue()
+                              : std::exchange(it->second, JsonValue());
 }
 
-namespace {
-
-/// Recursive-descent parser over a string view with position tracking.
-class Parser {
+/// Single-pass parser over a byte range. Every value is parsed in place,
+/// into the slot of the container that holds it, so no value is moved
+/// once built; containers reserve their size up front where it is cheap
+/// to read ahead (see CapacityHint).
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text)
+      : begin_(text.data()), p_(begin_), end_(begin_ + text.size()) {}
 
   Result<JsonValue> Parse() {
+    JsonValue v;
     SkipWs();
-    OCDD_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
+    if (!ParseValue(v, 1)) return error_;
     SkipWs();
-    if (pos_ != text_.size()) {
-      return Err("trailing characters");
+    if (p_ != end_) {
+      Fail("trailing characters");
+      return error_;
     }
     return v;
   }
 
  private:
-  Status Err(const std::string& what) const {
-    return Status::ParseError(what + " at offset " + std::to_string(pos_));
+  static constexpr int kMaxDepth = 128;
+  /// First capacities: report entries are two-member objects, and an array
+  /// of containers rarely holds fewer than a few.
+  static constexpr std::size_t kObjectCapacity = 2;
+  static constexpr std::size_t kNestedArrayCapacity = 4;
+  /// Bound on the capacity an array of scalars reserves up front, so a
+  /// hostile run of commas cannot make one huge allocation.
+  static constexpr std::size_t kMaxReserve = 1024;
+
+  bool Fail(const char* what) {
+    error_ = Status::ParseError(std::string(what) + " at offset " +
+                                std::to_string(p_ - begin_));
+    return false;
   }
 
+  // Exactly the C-locale isspace set: ' ', '\t', '\n', '\v', '\f', '\r'.
+  static bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
   void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
+    while (p_ != end_ && IsSpace(*p_)) ++p_;
   }
 
   bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
+    if (p_ != end_ && *p_ == c) {
+      ++p_;
       return true;
     }
     return false;
   }
 
-  bool ConsumeWord(const char* word) {
-    std::size_t len = 0;
-    while (word[len] != '\0') ++len;
-    if (text_.compare(pos_, len, word) == 0) {
-      pos_ += len;
-      return true;
+  bool ConsumeWord(std::string_view word) {
+    if (static_cast<std::size_t>(end_ - p_) < word.size() ||
+        std::memcmp(p_, word.data(), word.size()) != 0) {
+      return false;
     }
-    return false;
+    p_ += word.size();
+    return true;
   }
 
-  Result<JsonValue> ParseValue() {
-    if (++depth_ > 128) return Err("nesting too deep");
-    struct DepthGuard {
-      int& d;
-      ~DepthGuard() { --d; }
-    } guard{depth_};
+  /// `depth` counts values: the document is 1, its elements 2, ...
+  bool ParseValue(JsonValue& out, int depth) {
+    if (depth > kMaxDepth) return Fail("nesting too deep");
     SkipWs();
-    if (pos_ >= text_.size()) return Err("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') {
-      OCDD_ASSIGN_OR_RETURN(std::string s, ParseString());
-      return JsonValue::String(std::move(s));
+    if (p_ == end_) return Fail("unexpected end of input");
+    switch (*p_) {
+      case '{':
+        return ParseObject(out, depth);
+      case '[':
+        return ParseArray(out, depth);
+      case '"':
+        return ParseString(out.value_.emplace<std::string>());
+      case 't':
+        if (ConsumeWord("true")) {
+          out.value_.emplace<bool>(true);
+          return true;
+        }
+        break;
+      case 'f':
+        if (ConsumeWord("false")) {
+          out.value_.emplace<bool>(false);
+          return true;
+        }
+        break;
+      case 'n':
+        if (ConsumeWord("null")) return true;
+        break;
+      default:
+        break;
     }
-    if (ConsumeWord("true")) return JsonValue::Bool(true);
-    if (ConsumeWord("false")) return JsonValue::Bool(false);
-    if (ConsumeWord("null")) return JsonValue();
-    return ParseNumber();
+    return ParseNumber(out);
   }
 
-  Result<JsonValue> ParseObject() {
-    Consume('{');
-    std::map<std::string, JsonValue> members;
+  bool ParseObject(JsonValue& out, int depth) {
+    ++p_;  // '{'
+    auto& members = out.value_.emplace<std::vector<Member>>();
     SkipWs();
-    if (Consume('}')) return JsonValue::Object(std::move(members));
+    if (Consume('}')) return true;
+    members.reserve(kObjectCapacity);
     for (;;) {
       SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Err("expected object key");
-      }
-      OCDD_ASSIGN_OR_RETURN(std::string key, ParseString());
+      if (p_ == end_ || *p_ != '"') return Fail("expected object key");
+      Member& member = members.emplace_back();
+      if (!ParseString(member.first)) return false;
       SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      OCDD_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      members[std::move(key)] = std::move(value);
+      if (!Consume(':')) return Fail("expected ':'");
+      if (!ParseValue(member.second, depth + 1)) return false;
       SkipWs();
       if (Consume(',')) continue;
       if (Consume('}')) break;
-      return Err("expected ',' or '}'");
+      return Fail("expected ',' or '}'");
     }
-    return JsonValue::Object(std::move(members));
+    SortLastWins(members);
+    return true;
   }
 
-  Result<JsonValue> ParseArray() {
-    Consume('[');
-    std::vector<JsonValue> items;
+  /// Sorts members by key; of equal keys only the last in input order stays.
+  static void SortLastWins(std::vector<Member>& members) {
+    auto not_before = [](const Member& a, const Member& b) {
+      return !(a.first < b.first);
+    };
+    if (std::adjacent_find(members.begin(), members.end(), not_before) ==
+        members.end()) {
+      return;  // already strictly increasing: writer order or canonical
+    }
+    std::stable_sort(members.begin(), members.end(),
+                     [](const Member& a, const Member& b) {
+                       return a.first < b.first;
+                     });
+    // std::unique keeps the first of each run; walking backwards, that is
+    // the last one parsed.
+    auto kept = std::unique(members.rbegin(), members.rend(),
+                            [](const Member& a, const Member& b) {
+                              return a.first == b.first;
+                            });
+    members.erase(members.begin(), kept.base());
+  }
+
+  bool ParseArray(JsonValue& out, int depth) {
+    ++p_;  // '['
+    auto& items = out.value_.emplace<std::vector<JsonValue>>();
     SkipWs();
-    if (Consume(']')) return JsonValue::Array(std::move(items));
+    if (Consume(']')) return true;
+    items.reserve(CapacityHint());
     for (;;) {
-      OCDD_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      items.push_back(std::move(value));
+      if (!ParseValue(items.emplace_back(), depth + 1)) return false;
       SkipWs();
       if (Consume(',')) continue;
       if (Consume(']')) break;
-      return Err("expected ',' or ']'");
+      return Fail("expected ',' or ']'");
     }
-    return JsonValue::Array(std::move(items));
+    return true;
   }
 
-  Result<std::string> ParseString() {
-    Consume('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Err("dangling escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Err("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Err("bad \\u escape");
-              }
-            }
-            // The writer only emits \u00xx for control bytes; decode the
-            // BMP code point as UTF-8.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            return Err("unknown escape");
-        }
-        continue;
+  /// Capacity for the array whose first element starts at p_: for an array
+  /// of scalars, one more than the commas before its ']' (exact unless a
+  /// string holds ',' or ']'; growth covers an undercount).
+  std::size_t CapacityHint() const {
+    std::size_t n = 1;
+    for (const char* q = p_; q != end_ && n < kMaxReserve; ++q) {
+      if (*q == ',') {
+        ++n;
+      } else if (*q == ']') {
+        break;
+      } else if (*q == '[' || *q == '{') {
+        return kNestedArrayCapacity;
       }
-      out += c;
     }
-    return Err("unterminated string");
+    return n;
   }
 
-  Result<JsonValue> ParseNumber() {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
+  static int HexDigit(char h) {
+    if (h >= '0' && h <= '9') return h - '0';
+    if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+    if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+    return -1;
+  }
+
+  /// Appends the string starting at the opening quote to `out`, copying
+  /// each run of plain bytes in one piece.
+  bool ParseString(std::string& out) {
+    ++p_;  // '"'
+    for (;;) {
+      const char* run = p_;
+      while (p_ != end_ && *p_ != '"' && *p_ != '\\') ++p_;
+      out.append(run, p_);
+      if (p_ == end_) return Fail("unterminated string");
+      if (*p_++ == '"') return true;
+      if (p_ == end_) return Fail("dangling escape");
+      switch (*p_++) {
+        case '"':
+          out += '"';
+          break;
+        case '\\':
+          out += '\\';
+          break;
+        case '/':
+          out += '/';
+          break;
+        case 'n':
+          out += '\n';
+          break;
+        case 'r':
+          out += '\r';
+          break;
+        case 't':
+          out += '\t';
+          break;
+        case 'b':
+          out += '\b';
+          break;
+        case 'f':
+          out += '\f';
+          break;
+        case 'u': {
+          if (end_ - p_ < 4) return Fail("truncated \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const int h = HexDigit(*p_++);
+            if (h < 0) return Fail("bad \\u escape");
+            code = (code << 4) | static_cast<unsigned>(h);
+          }
+          // The writer only emits \u00xx for control bytes; each UTF-16
+          // code unit (a lone surrogate too) is encoded as UTF-8 on its own.
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
+        }
+        default:
+          return Fail("unknown escape");
+      }
     }
+  }
+
+  /// Lenient number syntax: an optional sign ('+' too), digits, an optional
+  /// fraction and exponent, each part possibly empty, with at least one
+  /// digit somewhere ("01", ".5", "1." and "1e" are numbers).
+  bool ParseNumber(JsonValue& out) {
+    const char* start = p_;
+    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
     bool digits = false;
     auto eat_digits = [&] {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-        ++pos_;
+      while (p_ != end_ && IsDigit(*p_)) {
+        ++p_;
         digits = true;
       }
     };
     eat_digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
+    if (p_ != end_ && *p_ == '.') {
+      ++p_;
       eat_digits();
     }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-        ++pos_;
-      }
+    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
+      ++p_;
+      if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
       eat_digits();
     }
-    if (!digits) return Err("malformed number");
-    return JsonValue::Number(
-        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr));
+    if (!digits) return Fail("malformed number");
+    // from_chars takes no '+' and no partial forms such as "1e" or "e5";
+    // strtod reads those as it always has. Both round correctly, so the
+    // value does not depend on which one ran.
+    double value = 0.0;
+    const char* first = *start == '+' ? start + 1 : start;
+    const auto [ptr, ec] = std::from_chars(first, p_, value);
+    if (ec != std::errc() || ptr != p_) {
+      value = std::strtod(std::string(start, p_).c_str(), nullptr);
+    }
+    if (!std::isfinite(value)) {
+      p_ = start;
+      return Fail("number out of range");
+    }
+    out.value_.emplace<double>(value);
+    return true;
   }
 
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
+  const char* const begin_;
+  const char* p_;
+  const char* const end_;
+  Status error_;
 };
+
+namespace {
+
+void AppendNumber(std::string& out, double d) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.10g", d);
+  // Ten digits round the largest doubles up past DBL_MAX, which would read
+  // back as infinity; those few get the 17 digits that round-trip.
+  if (std::fabs(d) > 1.7e308 && !std::isfinite(std::strtod(buf, nullptr))) {
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+  }
+  out += buf;
+}
+
+void AppendString(std::string& out, const std::string& s) {
+  out += '"';
+  out += JsonEscape(s);
+  out += '"';
+}
 
 void SerializeInto(const JsonValue& v, std::string& out) {
   switch (v.kind()) {
@@ -305,16 +422,11 @@ void SerializeInto(const JsonValue& v, std::string& out) {
     case JsonValue::Kind::kBool:
       out += v.bool_value() ? "true" : "false";
       break;
-    case JsonValue::Kind::kNumber: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.10g", v.number_value());
-      out += buf;
+    case JsonValue::Kind::kNumber:
+      AppendNumber(out, v.number_value());
       break;
-    }
     case JsonValue::Kind::kString:
-      out += '"';
-      out += JsonEscape(v.string_value());
-      out += '"';
+      AppendString(out, v.string_value());
       break;
     case JsonValue::Kind::kArray: {
       out += '[';
@@ -333,9 +445,8 @@ void SerializeInto(const JsonValue& v, std::string& out) {
       for (const auto& [key, value] : v.object()) {
         if (!first) out += ',';
         first = false;
-        out += '"';
-        out += JsonEscape(key);
-        out += "\":";
+        AppendString(out, key);
+        out += ':';
         SerializeInto(value, out);
       }
       out += '}';
@@ -347,7 +458,7 @@ void SerializeInto(const JsonValue& v, std::string& out) {
 }  // namespace
 
 Result<JsonValue> ParseJson(const std::string& text) {
-  return Parser(text).Parse();
+  return JsonParser(text).Parse();
 }
 
 std::string SerializeJson(const JsonValue& value) {

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "report/json_reader.h"
+
 namespace ocdd::serve {
 
 namespace {
@@ -89,6 +91,7 @@ void ResultCache::Load(const SnapshotStore& store) {
   stats_.entries = 0;
   stats_.load_failed = false;
   stats_.load_corrupt_skipped = 0;
+  stats_.load_invalid_dropped = 0;
   if (!loaded.ok()) {
     // Missing or wholly corrupt cache file: start cold, never fail.
     stats_.load_failed = true;
@@ -111,9 +114,17 @@ void ResultCache::Load(const SnapshotStore& store) {
     CacheKey key;
     key.fingerprint = r.U64();
     key.digest = r.U64();
-    std::string report = r.Str();
+    const std::string raw = r.Str();
     if (!r.ok()) break;
     if (index_.count(key) != 0) continue;
+    // Daemons that cached the worker's raw stdout persisted entries that
+    // are not canonical yet, so every entry is re-serialized.
+    Result<report::JsonValue> doc = report::ParseJson(raw);
+    if (!doc.ok() || doc->kind() != report::JsonValue::Kind::kObject) {
+      ++stats_.load_invalid_dropped;
+      continue;
+    }
+    std::string report = report::SerializeJson(*doc);
     stats_.bytes += report.size();
     lru_.emplace_back(key, std::move(report));
     index_[key] = std::prev(lru_.end());

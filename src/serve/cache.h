@@ -41,11 +41,16 @@ struct CacheStats {
   /// Persistence accounting: snapshot generations skipped as corrupt during
   /// load, and whether the last load found nothing valid at all.
   std::uint64_t load_corrupt_skipped = 0;
+  /// Entries of the last load dropped because they are not a JSON object.
+  std::uint64_t load_invalid_dropped = 0;
   bool load_failed = false;
 };
 
-/// An LRU map from CacheKey to a canonical report-JSON string, bounded by a
-/// byte budget over the stored payloads. Thread-safe.
+/// An LRU map from CacheKey to a canonical report-JSON string (the
+/// report::SerializeJson form), bounded by a byte budget over the stored
+/// payloads. Thread-safe. The daemon answers a hit with the stored bytes
+/// as they are, so only canonical reports may enter: `Put` takes them from
+/// the caller, and `Load` checks and canonicalizes every entry it restores.
 ///
 /// Persistence rides the PR 3 snapshot machinery: `Save` encodes every entry
 /// into one CRC-guarded snapshot image written through a SnapshotStore
@@ -69,6 +74,7 @@ class ResultCache {
 
   /// Inserts or refreshes `key`, evicting least-recently-used entries until
   /// the budget holds. A payload larger than the whole budget is dropped.
+  /// `report_json` must be canonical report text.
   void Put(const CacheKey& key, std::string report_json);
 
   CacheStats Stats() const;
@@ -78,7 +84,9 @@ class ResultCache {
   Status Save(SnapshotStore& store) const;
 
   /// Replaces the contents from the newest valid generation in `store`,
-  /// re-applying the byte budget. Corruption and absence degrade to an
+  /// re-applying the byte budget. Each entry is parsed once and stored in
+  /// canonical form; one that is not a JSON object (a CRC-valid but damaged
+  /// entry) is dropped and counted. Corruption and absence degrade to an
   /// empty cache; the stats record what happened.
   void Load(const SnapshotStore& store);
 

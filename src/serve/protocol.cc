@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/snapshot.h"
@@ -248,18 +250,34 @@ std::string SerializeRequest(const ServeRequest& request) {
 }
 
 std::string SerializeResponse(const ServeResponse& response) {
-  std::map<std::string, JsonValue> m;
-  if (!response.id.empty()) m["id"] = JsonValue::String(response.id);
-  m["status"] = JsonValue::String(response.status);
+  // Members in sorted key order, so the payload is exactly what
+  // report::SerializeJson writes for the whole response as one object.
+  std::string out = "{\"attempts\":";
+  out += report::SerializeJson(JsonValue::Number(response.attempts));
+  auto member = [&out](const char* key, const std::string& json) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    out += json;
+  };
+  auto quoted = [](const std::string& s) {
+    return report::SerializeJson(JsonValue::String(s));
+  };
+  member("cache", quoted(response.cache));
+  if (response.disk_degraded) member("disk_degraded", "true");
+  if (!response.error.empty()) member("error", quoted(response.error));
+  if (!response.id.empty()) member("id", quoted(response.id));
   if (!response.reject_reason.empty()) {
-    m["reject_reason"] = JsonValue::String(response.reject_reason);
+    member("reject_reason", quoted(response.reject_reason));
   }
-  if (!response.error.empty()) m["error"] = JsonValue::String(response.error);
-  m["attempts"] = JsonValue::Number(response.attempts);
-  m["cache"] = JsonValue::String(response.cache);
-  if (response.disk_degraded) m["disk_degraded"] = JsonValue::Bool(true);
-  if (response.have_report) m["report"] = response.report;
-  return report::SerializeJson(JsonValue::Object(std::move(m)));
+  if (response.have_report && response.report_json.empty()) {
+    member("report", report::SerializeJson(response.report));
+  } else if (response.have_report) {
+    member("report", response.report_json);
+  }
+  member("status", quoted(response.status));
+  out += '}';
+  return out;
 }
 
 Result<ServeResponse> ParseResponse(const std::string& payload) {
@@ -277,14 +295,21 @@ Result<ServeResponse> ParseResponse(const std::string& payload) {
   }
   resp.reject_reason = doc["reject_reason"].string_value();
   resp.error = doc["error"].string_value();
-  resp.attempts = static_cast<int>(doc["attempts"].number_value());
+  const JsonValue& attempts = doc["attempts"];
+  if (!attempts.is_null()) {
+    const double a = attempts.number_value();
+    if (attempts.kind() != JsonValue::Kind::kNumber || !(a >= 0.0) ||
+        a > static_cast<double>(std::numeric_limits<int>::max()) ||
+        a != std::floor(a)) {
+      return Status::InvalidArgument(
+          "response attempts is not an integer in [0, INT_MAX]");
+    }
+    resp.attempts = static_cast<int>(a);
+  }
   resp.cache = doc["cache"].string_value();
   resp.disk_degraded = doc["disk_degraded"].bool_value();
-  const JsonValue& report = doc["report"];
-  if (!report.is_null()) {
-    resp.have_report = true;
-    resp.report = report;
-  }
+  resp.report = doc.Take("report");
+  resp.have_report = !resp.report.is_null();
   return resp;
 }
 

@@ -178,13 +178,22 @@ struct ServeResponse {
   bool disk_degraded = false;
   bool have_report = false;
   report::JsonValue report;
+  /// The report's canonical bytes (report::SerializeJson form), when the
+  /// daemon already holds them: a cache hit, or a worker report that was
+  /// canonicalized for the cache. SerializeResponse splices them into the
+  /// frame in place of serializing `report`; ParseResponse fills `report`.
+  std::string report_json;
 };
 
-/// Builds the response payload (canonical JSON, sorted keys).
+/// Builds the response payload: canonical JSON with sorted keys, the report
+/// spliced from `report_json` when it is set. The bytes are the same either
+/// way.
 std::string SerializeResponse(const ServeResponse& response);
 
 /// Parses a response payload (the client side of the boundary; responses
-/// from the socket are just as untrusted as requests).
+/// from the socket are just as untrusted as requests). The report is moved
+/// out of the parsed document, not copied. An `attempts` member that is not
+/// an integer in [0, INT_MAX] is InvalidArgument.
 Result<ServeResponse> ParseResponse(const std::string& payload);
 
 /// Canonical cache/admission digest of a run request: everything that

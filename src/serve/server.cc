@@ -579,19 +579,14 @@ ServeResponse Server::Execute(const Pending& pending) {
   const bool cacheable = request.use_cache && cache_.enabled();
   resp.cache = cacheable ? "miss" : "off";
   if (cacheable) {
-    std::string cached;
-    if (cache_.Get(key, &cached)) {
-      Result<JsonValue> doc = report::ParseJson(cached);
-      if (doc.ok()) {
-        resp.status = "ok";
-        resp.cache = "hit";
-        resp.have_report = true;
-        resp.report = std::move(*doc);
-        return resp;
-      }
-      // An unparseable cache entry cannot happen through Put (entries are
-      // serialized reports), but a corrupt snapshot that still passed CRC
-      // is conceivable; treat it as a miss.
+    // Entries are canonical report text, validated when they entered the
+    // cache (Put after a worker run, or Load from disk), so a hit splices
+    // the bytes into the response frame without parsing them.
+    if (cache_.Get(key, &resp.report_json)) {
+      resp.status = "ok";
+      resp.cache = "hit";
+      resp.have_report = true;
+      return resp;
     }
   }
 
@@ -706,9 +701,9 @@ ServeResponse Server::RunWorker(const Pending& pending,
         // serve fault, so they are not retried here.
         resp.status = "ok";
         resp.have_report = true;
-        resp.report = std::move(doc);
+        resp.report_json = report::SerializeJson(doc);
         if (completed && request.use_cache && cache_.enabled()) {
-          cache_.Put(key, outcome.stdout_text);
+          cache_.Put(key, resp.report_json);
         }
         return resp;
       }
@@ -911,6 +906,8 @@ report::JsonValue Server::StatsJson() const {
   cj["entries"] = JsonValue::Number(static_cast<double>(cache.entries));
   cj["load_corrupt_skipped"] =
       JsonValue::Number(static_cast<double>(cache.load_corrupt_skipped));
+  cj["load_invalid_dropped"] =
+      JsonValue::Number(static_cast<double>(cache.load_invalid_dropped));
   cj["load_failed"] = JsonValue::Bool(cache.load_failed);
   m["cache"] = JsonValue::Object(std::move(cj));
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -196,7 +197,7 @@ TEST(RequestParseTest, UnknownMembersIgnoredForForwardCompat) {
 TEST(ResponseParseTest, RoundTripsEveryStatus) {
   for (const char* status : {"ok", "rejected", "timeout", "error"}) {
     ServeResponse resp;
-    resp.id = "r";
+    resp.id = std::string("r");
     resp.status = status;
     resp.reject_reason = std::string(status) == "rejected" ? "queue_full" : "";
     resp.attempts = 2;
@@ -221,6 +222,72 @@ TEST(ResponseParseTest, CarriesReportDocument) {
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed->have_report);
   EXPECT_TRUE(parsed->report["completed"].bool_value());
+}
+
+/// The response frame as a tree: every member in one object, serialized by
+/// report::SerializeJson.
+std::string TreeFrame(const ServeResponse& r) {
+  std::map<std::string, report::JsonValue> m;
+  if (!r.id.empty()) m["id"] = report::JsonValue::String(r.id);
+  m["status"] = report::JsonValue::String(r.status);
+  if (!r.reject_reason.empty()) {
+    m["reject_reason"] = report::JsonValue::String(r.reject_reason);
+  }
+  if (!r.error.empty()) m["error"] = report::JsonValue::String(r.error);
+  m["attempts"] = report::JsonValue::Number(r.attempts);
+  m["cache"] = report::JsonValue::String(r.cache);
+  if (r.disk_degraded) m["disk_degraded"] = report::JsonValue::Bool(true);
+  if (r.have_report) m["report"] = r.report;
+  return report::SerializeJson(report::JsonValue::Object(std::move(m)));
+}
+
+TEST(ResponseSerializeTest, SplicedReportFrameEqualsTreeFrame) {
+  auto doc = report::ParseJson(
+      R"({"stop_reason":"none","ocds":[{"rhs":["B"],"lhs":["A"]}],)"
+      R"("completed":true,"checks":3,"note":"tab\there"})");
+  ASSERT_TRUE(doc.ok());
+  const std::string canonical = report::SerializeJson(*doc);
+  for (int mask = 0; mask < 16; ++mask) {
+    for (const char* cache : {"hit", "miss", "off"}) {
+      ServeResponse tree;
+      tree.id = (mask & 1) != 0 ? "req-\"7\"" : "";
+      tree.reject_reason = (mask & 2) != 0 ? "queue_full" : "";
+      tree.error = (mask & 4) != 0 ? "worker said\nno" : "";
+      tree.disk_degraded = (mask & 8) != 0;
+      tree.status = "ok";
+      tree.attempts = mask;
+      tree.cache = cache;
+      tree.have_report = true;
+      tree.report = *doc;
+      ServeResponse spliced = tree;
+      spliced.report = report::JsonValue();
+      spliced.report_json = canonical;
+      SCOPED_TRACE(std::to_string(mask) + cache);
+      const std::string expected = TreeFrame(tree);
+      EXPECT_EQ(SerializeResponse(tree), expected);
+      EXPECT_EQ(SerializeResponse(spliced), expected);
+      // No report at all: the same member order without it.
+      tree.have_report = false;
+      EXPECT_EQ(SerializeResponse(tree), TreeFrame(tree));
+    }
+  }
+}
+
+TEST(ResponseParseTest, AttemptsMustBeANonNegativeInt) {
+  for (const char* bad : {"1e300", "-1", "2.5", "2147483648", "\"3\"", "true",
+                          "[1]"}) {
+    SCOPED_TRACE(bad);
+    auto parsed = ParseResponse(std::string(R"({"status":"ok","attempts":)") +
+                                bad + "}");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto max = ParseResponse(R"({"status":"ok","attempts":2147483647})");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->attempts, 2147483647);
+  auto absent = ParseResponse(R"({"status":"ok"})");
+  ASSERT_TRUE(absent.ok());
+  EXPECT_EQ(absent->attempts, 0);
 }
 
 TEST(ResponseParseTest, RejectsUnknownStatus) {

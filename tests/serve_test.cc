@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include "datagen/registry.h"
+#include "relation/coded_relation.h"
 #include "serve/cache.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -618,6 +620,68 @@ TEST(ServeTest, CachePersistsAcrossRestartAndSurvivesCorruption) {
   }
 }
 
+/// Writes a cache file holding `report_json`, unchecked, under the key the
+/// daemon computes for RunRequest: what an older daemon (or a damaged but
+/// CRC-valid write) leaves on disk.
+void PersistEntry(const std::string& cache_dir,
+                  const std::string& report_json) {
+  const ServeRequest req = RunRequest("seed");
+  auto relation = datagen::MakeDataset(req.source, req.rows, req.seed);
+  ASSERT_TRUE(relation.ok());
+  const CacheKey key{rel::CodedRelation::Encode(*relation).Fingerprint(),
+                     RequestDigest(req)};
+  ResultCache cache(1u << 20);
+  cache.Put(key, report_json);
+  SnapshotStore store(cache_dir, "serve_cache");
+  ASSERT_TRUE(cache.Save(store).ok());
+}
+
+TEST(ServeTest, UnparseablePersistedEntryIsDroppedAtLoadAndMisses) {
+  ScratchDir scratch("cache_bad_entry");
+  std::string script =
+      WriteScript(scratch, "worker.sh", ReportLine(true, "none"));
+  ServerOptions options = BaseOptions(scratch, script);
+  options.cache_dir = scratch.path + "/cache";
+  PersistEntry(options.cache_dir, R"({"completed":true,"ocds":[)");
+
+  ServerHarness harness(options);
+  const std::string sock = harness.server().socket_path();
+  auto resp = SendRequest(sock, RunRequest("r"), FastClient());
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status, "ok");
+  EXPECT_EQ(resp->cache, "miss");
+  EXPECT_EQ(resp->attempts, 1);
+  EXPECT_EQ(resp->report["algorithm"].string_value(), "fake");
+  const report::JsonValue stats = harness.server().StatsJson();
+  EXPECT_EQ(stats["cache"]["load_invalid_dropped"].number_value(), 1.0);
+  EXPECT_FALSE(stats["cache"]["load_failed"].bool_value());
+}
+
+TEST(ServeTest, RawEntryFromOlderDaemonIsServedCanonicalized) {
+  ScratchDir scratch("cache_raw_entry");
+  std::string script = WriteScript(scratch, "worker.sh", "exit 3\n");
+  ServerOptions options = BaseOptions(scratch, script);
+  options.cache_dir = scratch.path + "/cache";
+  const std::string raw =
+      "{\"stop_reason\":\"none\", \"completed\": true,\n"
+      " \"algorithm\": \"fake\", \"checks\": 10}\n";
+  PersistEntry(options.cache_dir, raw);
+
+  ServerHarness harness(options);
+  auto resp = SendRequest(harness.server().socket_path(), RunRequest("r"),
+                          FastClient());
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status, "ok");
+  EXPECT_EQ(resp->cache, "hit");
+  EXPECT_EQ(resp->attempts, 0);
+  ASSERT_TRUE(resp->have_report);
+  const std::string canonical =
+      R"({"algorithm":"fake","checks":10,"completed":true,"stop_reason":"none"})";
+  EXPECT_EQ(report::SerializeJson(resp->report), canonical);
+  EXPECT_EQ(harness.server().StatsJson()["cache"]["bytes"].number_value(),
+            static_cast<double>(canonical.size()));
+}
+
 // ---------------------------------------------------------------------------
 // Component tests: ResultCache and tenant config
 // ---------------------------------------------------------------------------
@@ -654,8 +718,8 @@ TEST(ResultCacheTest, ZeroCapacityDisables) {
 TEST(ResultCacheTest, SaveLoadRoundTripPreservesRecency) {
   ScratchDir scratch("cache_rt");
   ResultCache cache(1000);
-  cache.Put({1, 1}, "one");
-  cache.Put({2, 2}, "two");
+  cache.Put({1, 1}, R"({"n":1})");
+  cache.Put({2, 2}, R"({"n":2})");
   SnapshotStore store(scratch.path + "/store", "serve_cache");
   ASSERT_TRUE(cache.Save(store).ok());
 
@@ -663,16 +727,40 @@ TEST(ResultCacheTest, SaveLoadRoundTripPreservesRecency) {
   loaded.Load(store);
   std::string out;
   EXPECT_TRUE(loaded.Get({1, 1}, &out));
-  EXPECT_EQ(out, "one");
+  EXPECT_EQ(out, R"({"n":1})");
   EXPECT_TRUE(loaded.Get({2, 2}, &out));
-  EXPECT_EQ(out, "two");
+  EXPECT_EQ(out, R"({"n":2})");
   EXPECT_FALSE(loaded.Stats().load_failed);
 
   // A tighter budget on load re-applies eviction (LRU dropped first).
-  ResultCache tight(4);
+  ResultCache tight(10);
   tight.Load(store);
   EXPECT_TRUE(tight.Get({2, 2}, &out)) << "MRU survives the tight budget";
   EXPECT_FALSE(tight.Get({1, 1}, &out));
+}
+
+TEST(ResultCacheTest, LoadCanonicalizesEntriesAndDropsInvalidOnes) {
+  ScratchDir scratch("cache_canon");
+  const std::string raw = "{ \"b\": [1, 2],\n  \"a\": \"x\" }\n";
+  ResultCache cache(1000);
+  cache.Put({1, 1}, raw);  // what a daemon that stored raw stdout wrote
+  cache.Put({2, 2}, R"({"completed":tr)");  // CRC-valid, cut mid-value
+  cache.Put({3, 3}, "[1,2]");                // parses, but is no report
+  SnapshotStore store(scratch.path + "/store", "serve_cache");
+  ASSERT_TRUE(cache.Save(store).ok());
+
+  ResultCache loaded(1000);
+  loaded.Load(store);
+  const CacheStats stats = loaded.Stats();
+  EXPECT_FALSE(stats.load_failed);
+  EXPECT_EQ(stats.load_invalid_dropped, 2u);
+  EXPECT_EQ(stats.entries, 1u);
+  std::string out;
+  ASSERT_TRUE(loaded.Get({1, 1}, &out));
+  EXPECT_EQ(out, R"({"a":"x","b":[1,2]})");
+  EXPECT_EQ(loaded.Stats().bytes, out.size());
+  EXPECT_FALSE(loaded.Get({2, 2}, &out));
+  EXPECT_FALSE(loaded.Get({3, 3}, &out));
 }
 
 TEST(ResultCacheTest, LoadFromNothingOrGarbageStartsCold) {

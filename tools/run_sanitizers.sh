@@ -54,6 +54,14 @@ run_one() {
   ctest --test-dir "${dir}" --output-on-failure \
         -R "csv|coded_relation|fuzz_lite|ingest_cli|null_semantics" \
         --repeat until-fail:3
+  # JSON + serve pass: the parser builds every container in place through
+  # references into its parent's vector, the client moves the report out of
+  # the parsed response, and a cache hit splices stored bytes into the
+  # frame. ASan must see those lifetimes on reports, frames and fuzz input.
+  echo "==> ${preset}: JSON reader + serve frames (repeated)"
+  ctest --test-dir "${dir}" --output-on-failure \
+        -R "json_reader|serve_protocol|serve_test|fuzz_lite" \
+        --repeat until-fail:3
 }
 
 presets=("${@:-asan tsan}")
