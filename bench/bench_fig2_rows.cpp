@@ -30,8 +30,10 @@ void RowSweep(const char* name, const ocdd::rel::CodedRelation& full,
     std::size_t ocds = 0;
     bool completed = true;
     for (int rep = 0; rep < repetitions; ++rep) {
+      // First series: the paper's sort-per-candidate checker.
       ocdd::core::OcdDiscoverOptions opts;
       opts.time_limit_seconds = RunBudgetSeconds();
+      opts.use_sorted_partitions = false;
       auto result = ocdd::core::DiscoverOcds(sample, opts);
       total += result.elapsed_seconds;
       checks = result.num_checks;

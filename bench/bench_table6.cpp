@@ -3,7 +3,10 @@
 // candidate checks, and wall-clock times. Dataset sizes default to the
 // scaled-down bench configuration; set OCDD_SCALE=full for paper rows and
 // OCDD_BENCH_BUDGET=<seconds> to adjust the per-run time limit
-// (the paper used 5 hours).
+// (the paper used 5 hours). OCDDISCOVER runs the paper's sort-per-candidate
+// checker (`use_sorted_partitions = false`), the configuration Table 6
+// measures — an ablation of the library's default sorted-partition
+// checker; entries carry the label "paper-sort-checker".
 
 #include <cinttypes>
 #include <cstdio>
@@ -43,16 +46,17 @@ void RunDataset(const ocdd::datagen::DatasetSpec& spec,
   fastod_opts.time_limit_seconds = budget;
   auto fastod = ocdd::algo::DiscoverFastod(r, fastod_opts);
 
-  // OCDDISCOVER. The entry's profile must cover this run alone, not the
-  // baselines above.
+  // OCDDISCOVER with the paper's checker (Table 6 ablation). The entry's
+  // profile must cover this run alone, not the baselines above.
   ocdd::core::OcdDiscoverOptions ocd_opts;
   ocd_opts.time_limit_seconds = budget;
+  ocd_opts.use_sorted_partitions = false;
   ocdd::prof::Reset();
   auto mine = ocdd::core::DiscoverOcds(r, ocd_opts);
   report.Add({spec.name, r.num_rows(), r.num_columns(), ocd_opts.num_threads,
               ocd_opts.use_sorted_partitions, mine.elapsed_seconds,
               mine.num_checks, mine.ocds.size(), mine.ods.size(),
-              mine.completed, {}, {}});
+              mine.completed, "paper-sort-checker", {}});
   ocdd::core::ExpansionOptions exp_opts;
   exp_opts.max_materialized = 200000;
   auto expanded = ocdd::core::ExpandResults(mine, r, exp_opts);
@@ -77,7 +81,9 @@ int main() {
   std::printf("Table 6 reproduction: dataset statistics and per-algorithm "
               "results\n");
   std::printf("(TLE = budget of %.0fs reached; partial results reported for "
-              "ocddiscover)\n\n", RunBudgetSeconds());
+              "ocddiscover)\n", RunBudgetSeconds());
+  std::printf("(ocddiscover uses the paper's sort-per-candidate checker, "
+              "not the default sorted partitions)\n\n");
   std::printf(
       "%-11s %8s %4s | %8s %-9s | %8s %-9s | %7s %8s %-9s | %6s %10s %8s %-9s\n",
       "dataset", "|r|", "|U|", "tane|Fd|", "time", "ord|Od|", "time",

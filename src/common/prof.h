@@ -34,7 +34,7 @@ enum class Phase : std::uint8_t {
   kEncode = 0,     // dictionary encoding / narrow-mirror builds
   kPlan,           // per-level partition planning (sequential)
   kRefine,         // partition refinement kernels
-  kPublish,        // partition cache publish (shrink + budget + insert)
+  kPublish,        // partition cache publish (intern + budget + insert)
   kCheckFill,      // extremes fill pass of the partition checks
   kCheckScan,      // extremes group scan (split/swap classification)
   kSortIndex,      // row-index sorts of the sort-based checker

@@ -1,6 +1,8 @@
 #include "core/list_partition.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <limits>
 #include <type_traits>
 
@@ -32,11 +34,44 @@ decltype(auto) WithColumnCodes(const rel::CodedColumn& c, F&& f) {
   return f(c.codes.data());
 }
 
+std::size_t WidthBytes(rel::CodeWidth width) {
+  switch (width) {
+    case rel::CodeWidth::k8:
+      return 1;
+    case rel::CodeWidth::k16:
+      return 2;
+    case rel::CodeWidth::k32:
+      break;
+  }
+  return 4;
+}
+
+/// Final avalanche of a 64-bit state (the murmur3 finalizer).
+std::uint64_t Mix(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  return h ^ (h >> 33);
+}
+
+/// Source of `ListPartition::id()`: ids are never reused within a process.
+std::atomic<std::uint64_t> g_next_id{1};
+
+std::uint64_t NextId() {
+  return g_next_id.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 void ListPartition::Allocate(std::size_t m, std::int32_t groups) {
   num_rows_ = m;
   num_groups_ = groups;
+  view_ = nullptr;
+  id_ = NextId();
+  c8_.clear();
+  c16_.clear();
+  c32_.clear();
   switch (rel::WidthForDistinct(groups)) {
     case rel::CodeWidth::k8:
       c8_.resize(m);
@@ -50,7 +85,8 @@ void ListPartition::Allocate(std::size_t m, std::int32_t groups) {
   }
 }
 
-const void* ListPartition::StorageTag() const {
+const void* ListPartition::data() const {
+  if (view_ != nullptr) return view_;
   switch (width()) {
     case rel::CodeWidth::k8:
       return c8_.data();
@@ -62,18 +98,6 @@ const void* ListPartition::StorageTag() const {
   return c32_.data();
 }
 
-rel::CodeView ListPartition::view() const {
-  switch (width()) {
-    case rel::CodeWidth::k8:
-      return rel::CodeView{c8_.data(), rel::CodeWidth::k8};
-    case rel::CodeWidth::k16:
-      return rel::CodeView{c16_.data(), rel::CodeWidth::k16};
-    case rel::CodeWidth::k32:
-      break;
-  }
-  return rel::CodeView{c32_.data(), rel::CodeWidth::k32};
-}
-
 std::vector<std::int32_t> ListPartition::codes() const {
   std::vector<std::int32_t> out(num_rows_);
   rel::CodeView v = view();
@@ -81,49 +105,69 @@ std::vector<std::int32_t> ListPartition::codes() const {
   return out;
 }
 
+std::uint64_t ListPartition::ContentHash() const {
+  const std::size_t n = num_rows_ * WidthBytes(width());
+  if (n == 0) return Mix(static_cast<std::uint64_t>(width()));
+  const unsigned char* bytes = static_cast<const unsigned char*>(data());
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ (n * 0xff51afd7ed558ccdULL) ^
+                    static_cast<std::uint64_t>(width());
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, bytes + i, 8);
+    h = Mix(h ^ w);
+  }
+  if (i == n) return h;
+  std::uint64_t tail = 0;
+  std::memcpy(&tail, bytes + i, n - i);
+  return Mix(h ^ tail);
+}
+
+bool ListPartition::SameRanks(const ListPartition& other) const {
+  if (num_rows_ != other.num_rows_ || num_groups_ != other.num_groups_) {
+    return false;
+  }
+  return num_rows_ == 0 || std::memcmp(data(), other.data(),
+                                       num_rows_ * WidthBytes(width())) == 0;
+}
+
 ListPartition ListPartition::ForColumn(const rel::CodedRelation& relation,
                                        rel::ColumnId column) {
   const rel::CodedColumn& c = relation.column(column);
   ListPartition out;
-  out.num_rows_ = c.codes.size();
-  out.num_groups_ = c.num_distinct;
-  // Prefer copying the column's narrow mirror outright; fall back to a
-  // narrowing copy of the canonical codes when no mirror is populated
-  // (hand-built columns that bypassed the CodedRelation factories).
-  switch (rel::WidthForDistinct(c.num_distinct)) {
-    case rel::CodeWidth::k8:
-      if (!c.codes8.empty()) {
-        out.c8_ = c.codes8;
-      } else {
-        out.c8_.resize(out.num_rows_);
-        for (std::size_t r = 0; r < out.num_rows_; ++r) {
-          out.c8_[r] = static_cast<std::uint8_t>(c.codes[r]);
-        }
-      }
-      break;
-    case rel::CodeWidth::k16:
-      if (!c.codes16.empty()) {
-        out.c16_ = c.codes16;
-      } else {
-        out.c16_.resize(out.num_rows_);
-        for (std::size_t r = 0; r < out.num_rows_; ++r) {
-          out.c16_[r] = static_cast<std::uint16_t>(c.codes[r]);
-        }
-      }
-      break;
-    case rel::CodeWidth::k32:
-      out.c32_ = c.codes;
-      break;
+  const std::size_t m = c.codes.size();
+  const rel::CodeWidth width = rel::WidthForDistinct(c.num_distinct);
+  if (width == rel::CodeWidth::k8 && c.codes8.empty()) {
+    // No narrow mirror (a hand-built column that bypassed the
+    // CodedRelation factories): narrowing copy of the canonical codes.
+    out.Allocate(m, c.num_distinct);
+    for (std::size_t r = 0; r < m; ++r) {
+      out.c8_[r] = static_cast<std::uint8_t>(c.codes[r]);
+    }
+    return out;
   }
+  if (width == rel::CodeWidth::k16 && c.codes16.empty()) {
+    out.Allocate(m, c.num_distinct);
+    for (std::size_t r = 0; r < m; ++r) {
+      out.c16_[r] = static_cast<std::uint16_t>(c.codes[r]);
+    }
+    return out;
+  }
+  out.num_rows_ = m;
+  out.num_groups_ = c.num_distinct;
+  out.id_ = NextId();
+  out.view_ = rel::NarrowView(c).data;
   return out;
 }
 
 ListPartition ListPartition::ForList(const rel::CodedRelation& relation,
                                      const od::AttributeList& list) {
   ListPartition out = ForColumn(relation, list[0]);
+  ListPartition next;
   RefineScratch scratch;
   for (std::size_t i = 1; i < list.size(); ++i) {
-    out = out.Refine(relation, list[i], &scratch);
+    out.RefineInto(relation, list[i], &scratch, &next);
+    std::swap(out, next);
   }
   return out;
 }
@@ -138,20 +182,27 @@ ListPartition ListPartition::Refine(const rel::CodedRelation& relation,
                                     rel::ColumnId column,
                                     RefineScratch* scratch,
                                     RefinePath path) const {
+  ListPartition out;
+  RefineInto(relation, column, scratch, &out, path);
+  return out;
+}
+
+void ListPartition::RefineInto(const rel::CodedRelation& relation,
+                               rel::ColumnId column, RefineScratch* scratch,
+                               ListPartition* out, RefinePath path) const {
   const rel::CodedColumn& coded = relation.column(column);
   const std::size_t domain = static_cast<std::size_t>(coded.num_distinct);
-  return WithCodes(*this, [&](const auto* parent) {
-    return WithColumnCodes(coded, [&](const auto* col) {
-      return RefineTyped(parent, col, domain, scratch, path);
+  WithCodes(*this, [&](const auto* parent) {
+    WithColumnCodes(coded, [&](const auto* col) {
+      RefineTyped(parent, col, domain, scratch, path, out);
     });
   });
 }
 
 template <typename P, typename C>
-ListPartition ListPartition::RefineTyped(const P* parent, const C* col,
-                                         std::size_t domain,
-                                         RefineScratch* scratch,
-                                         RefinePath path) const {
+void ListPartition::RefineTyped(const P* parent, const C* col,
+                                std::size_t domain, RefineScratch* scratch,
+                                RefinePath path, ListPartition* out) const {
   const std::size_t m = num_rows_;
   const std::size_t groups = static_cast<std::size_t>(num_groups_);
   const std::uint64_t buckets = static_cast<std::uint64_t>(groups) * domain;
@@ -190,8 +241,7 @@ ListPartition ListPartition::RefineTyped(const P* parent, const C* col,
     for (std::uint32_t& slot : occupied) {
       if (slot != 0) slot = next++;
     }
-    ListPartition out;
-    out.Allocate(m, static_cast<std::int32_t>(next));
+    out->Allocate(m, static_cast<std::int32_t>(next));
     auto fill = [&](auto* dst) {
       using D = std::remove_reference_t<decltype(dst[0])>;
       for (std::size_t row = 0; row < m; ++row) {
@@ -200,24 +250,24 @@ ListPartition ListPartition::RefineTyped(const P* parent, const C* col,
                      static_cast<std::size_t>(col[row])]);
       }
     };
-    switch (out.width()) {
+    switch (out->width()) {
       case rel::CodeWidth::k8:
-        fill(out.c8_.data());
+        fill(out->c8_.data());
         break;
       case rel::CodeWidth::k16:
-        fill(out.c16_.data());
+        fill(out->c16_.data());
         break;
       case rel::CodeWidth::k32:
-        fill(out.c32_.data());
+        fill(out->c32_.data());
         break;
     }
-    return out;
+    return;
   }
 
   // Parent-rank histogram: reused across consecutive refinements of the
   // same parent (the pipeline groups sibling lists by parent).
   std::vector<std::uint32_t>& offsets = scratch->rank_offsets;
-  if (scratch->parent_tag != StorageTag()) {
+  if (scratch->parent_id != id_) {
     offsets.assign(groups + 1, 0);
     for (std::size_t row = 0; row < m; ++row) {
       ++offsets[static_cast<std::size_t>(parent[row]) + 1];
@@ -225,7 +275,7 @@ ListPartition ListPartition::RefineTyped(const P* parent, const C* col,
     for (std::size_t g = 1; g < offsets.size(); ++g) {
       offsets[g] += offsets[g - 1];
     }
-    scratch->parent_tag = StorageTag();
+    scratch->parent_id = id_;
   }
 
   std::vector<std::uint32_t>& rows = scratch->rows;
@@ -301,26 +351,24 @@ ListPartition ListPartition::RefineTyped(const P* parent, const C* col,
     ranks[i] = static_cast<std::uint32_t>(next_rank);
   }
 
-  ListPartition out;
-  out.Allocate(m, next_rank + 1);
+  out->Allocate(m, next_rank + 1);
   auto scatter = [&](auto* dst) {
     using D = std::remove_reference_t<decltype(dst[0])>;
     for (std::size_t i = 0; i < m; ++i) {
       dst[rows[i]] = static_cast<D>(ranks[i]);
     }
   };
-  switch (out.width()) {
+  switch (out->width()) {
     case rel::CodeWidth::k8:
-      scatter(out.c8_.data());
+      scatter(out->c8_.data());
       break;
     case rel::CodeWidth::k16:
-      scatter(out.c16_.data());
+      scatter(out->c16_.data());
       break;
     case rel::CodeWidth::k32:
-      scatter(out.c32_.data());
+      scatter(out->c32_.data());
       break;
   }
-  return out;
 }
 
 namespace {

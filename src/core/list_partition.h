@@ -39,13 +39,11 @@ enum class RefinePath {
 /// partition pipeline groups each level's missing lists by parent to
 /// exploit exactly this.
 struct RefineScratch {
-  /// Identity of the partition `rank_offsets` was computed for (its rank
-  /// storage's buffer address); an opaque tag, only ever compared. Call
-  /// `Invalidate()` after destroying a partition this scratch refined, in
-  /// the unlikely case a new partition's buffer could land at the same
-  /// address (long-lived cached parents, as in the discovery driver, are
-  /// never at risk).
-  const void* parent_tag = nullptr;
+  /// `ListPartition::id()` of the partition `rank_offsets` was computed
+  /// for (0 = none). Ids are never reused, so a partition built after the
+  /// parent was destroyed can never pick up its stale histogram, even when
+  /// its buffer lands at the parent's old address.
+  std::uint64_t parent_id = 0;
   std::vector<std::uint32_t> rank_offsets;
   std::vector<std::uint32_t> code_offsets;
   std::vector<std::uint32_t> cursor;
@@ -54,8 +52,6 @@ struct RefineScratch {
   /// Per-position refined ranks of the counting/comparison paths, staged
   /// here until the group count (and so the output width) is known.
   std::vector<std::uint32_t> ranks;
-
-  void Invalidate() { parent_tag = nullptr; }
 };
 
 /// A *sorted partition* of the rows under an attribute list X: the dense,
@@ -67,7 +63,7 @@ struct RefineScratch {
 /// re-implementation is this class:
 ///
 ///  * `ForColumn` is free — a CodedColumn's codes already are the sorted
-///    partition of the singleton list;
+///    partition of the singleton list, so it is a view of them;
 ///  * `Refine` extends a list by one attribute in O(m)–O(m log g) where g
 ///    is the largest group, instead of the O(m log m) full sort per check;
 ///  * `CheckOd` / `CheckOcd` validate a candidate from the two sides'
@@ -84,12 +80,17 @@ struct RefineScratch {
 /// backends). On low-cardinality data this shrinks the partition cache and
 /// the check kernels' memory traffic by 4x; the check and refine kernels
 /// are templated over the width and always stream the stored form directly.
+/// Because ranks are dense, two lists that order the rows the same way
+/// have byte-identical rank vectors (`SameRanks`), which is what lets the
+/// discovery driver store each distinct vector once.
 class ListPartition {
  public:
   ListPartition() = default;
 
-  /// Rank vector of a single-attribute list (copies the column's narrowest
-  /// code mirror).
+  /// Rank vector of a single-attribute list: a view of the column's
+  /// narrowest code array, valid while `relation` lives. Only a column
+  /// without a narrow mirror (hand-built, bypassing the CodedRelation
+  /// factories) is copied.
   static ListPartition ForColumn(const rel::CodedRelation& relation,
                                  rel::ColumnId column);
 
@@ -104,47 +105,63 @@ class ListPartition {
                        rel::ColumnId column) const;
 
   /// `Refine` with caller-owned scratch (no internal allocations) and an
-  /// explicit path choice. `kCounting` and `kComparison` produce identical
-  /// partitions; `kAuto` picks by the column's domain size.
+  /// explicit path choice. All paths produce identical partitions; `kAuto`
+  /// picks by the column's domain size.
   ListPartition Refine(const rel::CodedRelation& relation,
                        rel::ColumnId column, RefineScratch* scratch,
                        RefinePath path = RefinePath::kAuto) const;
 
+  /// `Refine` into `*out`, reusing its storage: once `out` has held a
+  /// vector this large, refining allocates nothing. `out` must not be
+  /// `this`.
+  void RefineInto(const rel::CodedRelation& relation, rel::ColumnId column,
+                  RefineScratch* scratch, ListPartition* out,
+                  RefinePath path = RefinePath::kAuto) const;
+
   std::size_t num_rows() const { return num_rows_; }
   std::int32_t num_groups() const { return num_groups_; }
+
+  /// Serial number of the rank vector this partition holds: every factory
+  /// and refinement draws a fresh one, and copies keep it (same content).
+  std::uint64_t id() const { return id_; }
 
   /// Width of the stored rank vector (the narrowest fitting num_groups).
   rel::CodeWidth width() const { return rel::WidthForDistinct(num_groups_); }
 
   /// Read-only width-dispatch view of the stored ranks.
-  rel::CodeView view() const;
+  rel::CodeView view() const { return rel::CodeView{data(), width()}; }
 
   /// Typed storage accessors; valid only for the matching `width()`.
-  const std::uint8_t* data8() const { return c8_.data(); }
-  const std::uint16_t* data16() const { return c16_.data(); }
-  const std::int32_t* data32() const { return c32_.data(); }
+  const std::uint8_t* data8() const {
+    return static_cast<const std::uint8_t*>(data());
+  }
+  const std::uint16_t* data16() const {
+    return static_cast<const std::uint16_t*>(data());
+  }
+  const std::int32_t* data32() const {
+    return static_cast<const std::int32_t*>(data());
+  }
 
   /// Materializes the ranks as int32 (a copy — the storage is
   /// width-adaptive). Convenience for tests and cold paths; kernels use
   /// `view()` or the typed accessors.
   std::vector<std::int32_t> codes() const;
 
-  /// Approximate heap footprint, for cache budgeting. Uses capacity, so
-  /// call `ShrinkToFit` first when the partition is about to be cached —
-  /// otherwise the budget is charged for slack the allocator is holding.
+  /// Heap footprint, for cache budgeting: the rank vector's capacity (zero
+  /// for a view) plus the object itself.
   std::size_t MemoryBytes() const {
     return c8_.capacity() * sizeof(std::uint8_t) +
            c16_.capacity() * sizeof(std::uint16_t) +
            c32_.capacity() * sizeof(std::int32_t) + sizeof(*this);
   }
 
-  /// Releases rank-vector slack (capacity beyond size) so `MemoryBytes`
-  /// reflects real heap use before the partition enters a budgeted cache.
-  void ShrinkToFit() {
-    c8_.shrink_to_fit();
-    c16_.shrink_to_fit();
-    c32_.shrink_to_fit();
-  }
+  /// 64-bit hash of the rank vector's bytes and width; equal for
+  /// partitions with `SameRanks`.
+  std::uint64_t ContentHash() const;
+
+  /// True iff both rank vectors are byte-identical (same rows, width and
+  /// ranks) — i.e. both lists order the rows the same way.
+  bool SameRanks(const ListPartition& other) const;
 
   /// Full OD check `X → Y` from the two sides' partitions (split and swap
   /// classification identical to OrderChecker::CheckOd), in O(m + groups).
@@ -167,24 +184,29 @@ class ListPartition {
   static bool CheckOcd(const ListPartition& lhs, const ListPartition& rhs);
 
  private:
-  /// Sizes the storage vector matching `WidthForDistinct(groups)` and sets
-  /// the shape fields; exactly one vector is non-empty afterwards (m > 0).
+  /// Sizes the owned storage vector matching `WidthForDistinct(groups)`
+  /// (reusing capacity), empties the others, drops any view, and draws a
+  /// fresh id.
   void Allocate(std::size_t m, std::int32_t groups);
 
-  /// Address of the active storage buffer — the scratch `parent_tag`.
-  const void* StorageTag() const;
+  /// The active rank storage: the view, or the owned vector of `width()`.
+  const void* data() const;
 
   template <typename P, typename C>
-  ListPartition RefineTyped(const P* parent, const C* col, std::size_t domain,
-                            RefineScratch* scratch, RefinePath path) const;
+  void RefineTyped(const P* parent, const C* col, std::size_t domain,
+                   RefineScratch* scratch, RefinePath path,
+                   ListPartition* out) const;
 
-  /// Exactly one of these is non-empty (for num_rows_ > 0): the one
-  /// matching `width()`.
+  /// Owned storage: the one matching `width()` holds the ranks (for
+  /// num_rows_ > 0), unless `view_` is set.
   std::vector<std::uint8_t> c8_;
   std::vector<std::uint16_t> c16_;
   std::vector<std::int32_t> c32_;
+  /// Non-null for a column view: the column's code array of `width()`.
+  const void* view_ = nullptr;
   std::size_t num_rows_ = 0;
   std::int32_t num_groups_ = 0;
+  std::uint64_t id_ = 0;
 };
 
 }  // namespace ocdd::core

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -21,6 +23,7 @@ namespace ocdd::core {
 namespace {
 
 using od::AttributeList;
+using od::AttributeListEq;
 using od::AttributeListHash;
 
 /// One node of the candidate tree: the pair (X, Y) of an OCD candidate.
@@ -40,6 +43,8 @@ struct CandidateHash {
   }
 };
 
+using IdSpan = std::span<const ColumnId>;
+
 /// Heap-inclusive footprint estimate of one candidate, the unit the
 /// RunContext memory budget is charged in for the level frontier.
 std::size_t CandidateBytes(const Candidate& c) {
@@ -54,6 +59,29 @@ struct CheckedCandidate {
   bool ocd_valid = false;
   bool od_xy = false;
   bool od_yx = false;
+};
+
+/// One distinct rank vector of the partition cache, shared by every cached
+/// list whose rows it orders (order-equivalent lists, and `LA` wherever
+/// `L → A`, all have byte-identical dense ranks).
+struct SharedRanks {
+  ListPartition part;
+  std::uint64_t hash = 0;
+  std::size_t refs = 0;  // cached lists pointing here
+};
+
+struct CacheEntry {
+  SharedRanks* ranks = nullptr;
+  std::uint64_t live_mark = 0;  // Driver::live_mark_ when last marked live
+};
+
+/// A rank vector refined during a layer whose content was not cached yet:
+/// one per distinct content, shared by the layer's lists that produce it,
+/// until publish interns it (or the budget turns it away).
+struct PendingRanks {
+  ListPartition part;
+  std::uint64_t hash = 0;
+  SharedRanks* published = nullptr;
 };
 
 class Driver {
@@ -381,13 +409,46 @@ class Driver {
           }
         }
 
+        // Drop the cached lists no child of this level will read, before
+        // the children themselves take up memory.
+        if (options_.use_sorted_partitions && !aborted) {
+          EvictDeadLists(level, checked, universe);
+        }
+
         // Sequential generation phase: emission + next level (deduplicated).
         // On abort the emission still runs — every candidate the check phase
         // finished contributes to the partial result — but no children are
         // generated.
         std::vector<Candidate> next;
         std::size_t next_bytes = 0;
-        std::unordered_set<Candidate, CandidateHash> seen;
+        // Deduplicate through indices into `next`, so each child is stored
+        // once. A child is pushed, then kept only if its index is new and
+        // its memory charge succeeds — order and charges are those of a
+        // check-then-push.
+        auto hash_at = [&next](std::size_t i) {
+          return CandidateHash{}(next[i]);
+        };
+        auto equal_at = [&next](std::size_t a, std::size_t b) {
+          return next[a] == next[b];
+        };
+        std::unordered_set<std::size_t, decltype(hash_at), decltype(equal_at)>
+            seen(0, hash_at, equal_at);
+        auto offer = [&](Candidate child) {
+          next.push_back(std::move(child));
+          const std::size_t i = next.size() - 1;
+          if (!seen.insert(i).second) {
+            next.pop_back();
+            return true;
+          }
+          std::size_t bytes = CandidateBytes(next[i]);
+          if (!ctx_->ChargeMemory(bytes)) {
+            seen.erase(i);
+            next.pop_back();
+            return false;
+          }
+          next_bytes += bytes;
+          return true;
+        };
         prof::ScopedTimer generate_timer(prof::Phase::kGenerate);
         for (std::size_t i = 0; i < level.size(); ++i) {
           const Candidate& c = level[i];
@@ -400,37 +461,19 @@ class Driver {
           if (r.od_yx) store.AddOd(od::OrderDependency{c.y, c.x});
           if (aborted) continue;
 
-          bool extend_x = !r.od_xy || !options_.apply_od_pruning;
-          bool extend_y = !r.od_yx || !options_.apply_od_pruning;
+          const bool extend_x = ExtendsX(r);
+          const bool extend_y = ExtendsY(r);
           if (!extend_x && !extend_y) continue;
 
           for (ColumnId a : universe) {
             if (c.x.Contains(a) || c.y.Contains(a)) continue;
-            if (extend_x) {
-              Candidate child{c.x.WithAppended(a), c.y};
-              if (seen.count(child) == 0) {
-                std::size_t bytes = CandidateBytes(child);
-                if (!ctx_->ChargeMemory(bytes)) {
-                  aborted = true;
-                  break;
-                }
-                next_bytes += bytes;
-                seen.insert(child);
-                next.push_back(std::move(child));
-              }
+            if (extend_x && !offer(Candidate{c.x.WithAppended(a), c.y})) {
+              aborted = true;
+              break;
             }
-            if (extend_y) {
-              Candidate child{c.x, c.y.WithAppended(a)};
-              if (seen.count(child) == 0) {
-                std::size_t bytes = CandidateBytes(child);
-                if (!ctx_->ChargeMemory(bytes)) {
-                  aborted = true;
-                  break;
-                }
-                next_bytes += bytes;
-                seen.insert(child);
-                next.push_back(std::move(child));
-              }
+            if (extend_y && !offer(Candidate{c.x, c.y.WithAppended(a)})) {
+              aborted = true;
+              break;
             }
           }
           if (options_.max_candidates_per_level != 0 &&
@@ -490,7 +533,7 @@ class Driver {
                                                  : cap_reason;
     result.hook_served = hook_served_;
     result.hook_recomputed = hook_recomputed_;
-    result.partition_cache_bytes = cache_bytes_;
+    result.partition_cache_bytes = peak_cache_bytes_;
     result.elapsed_seconds = timer.ElapsedSeconds();
     return result;
   }
@@ -509,50 +552,156 @@ class Driver {
   const ListPartition* FindPartition(const od::AttributeList& list) const {
     if (!options_.use_sorted_partitions) return nullptr;
     auto it = part_cache_.find(list);
-    return it == part_cache_.end() ? nullptr : &it->second;
+    return it == part_cache_.end() ? nullptr : &it->second.ranks->part;
+  }
+
+  /// The entry of `table` whose rank vector is byte-identical to `part`,
+  /// or nullptr. Read-only on `interned_`, so refinement workers may probe
+  /// it while a layer computes.
+  template <typename Table>
+  static typename Table::mapped_type::pointer FindSame(
+      const Table& table, const ListPartition& part, std::uint64_t hash) {
+    auto [it, end] = table.equal_range(hash);
+    for (; it != end; ++it) {
+      if (it->second->part.SameRanks(part)) return it->second.get();
+    }
+    return nullptr;
+  }
+
+  /// Drops one cached list's reference; the last one frees the vector and
+  /// returns its bytes to the budget.
+  void Release(SharedRanks* ranks) {
+    if (--ranks->refs != 0) return;
+    cache_bytes_ -= ranks->part.MemoryBytes();
+    auto [it, end] = interned_.equal_range(ranks->hash);
+    for (; it != end; ++it) {
+      if (it->second.get() == ranks) {
+        interned_.erase(it);
+        return;
+      }
+    }
+  }
+
+  /// Theorem 3.9: generation extends a side of a valid candidate only
+  /// while its full OD does not hold (always, with pruning off).
+  bool ExtendsX(const CheckedCandidate& r) const {
+    return !r.od_xy || !options_.apply_od_pruning;
+  }
+  bool ExtendsY(const CheckedCandidate& r) const {
+    return !r.od_yx || !options_.apply_od_pruning;
+  }
+
+  /// Live-set eviction, run after a level's checks and before its children
+  /// are generated. A child `XA ~ Y` or `X ~ YA` of a candidate reads `Y`
+  /// (or `X`) and `XA` (or `YA`), refined from `X` (or `Y`) when not
+  /// cached. So for every candidate that spawns children this keeps the
+  /// longest cached prefix of each side and each cached one-attribute
+  /// extension of a side it extends, and drops every other cached list.
+  /// Sequential and a pure function of the cache and the level, so the
+  /// budget stays thread-count-independent.
+  void EvictDeadLists(const std::vector<Candidate>& level,
+                      const std::vector<CheckedCandidate>& checked,
+                      const std::vector<ColumnId>& universe) {
+    ++live_mark_;
+    auto mark_longest_prefix = [&](const AttributeList& side) {
+      for (std::size_t len = side.size(); len > 0; --len) {
+        auto it = part_cache_.find(IdSpan(side.ids().data(), len));
+        if (it != part_cache_.end()) {
+          it->second.live_mark = live_mark_;
+          return;
+        }
+      }
+    };
+    std::vector<ColumnId> extended;
+    auto mark_extension = [&](const AttributeList& side, ColumnId a) {
+      extended.assign(side.ids().begin(), side.ids().end());
+      extended.push_back(a);
+      auto it = part_cache_.find(IdSpan(extended));
+      if (it != part_cache_.end()) it->second.live_mark = live_mark_;
+    };
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      const CheckedCandidate& r = checked[i];
+      if (!r.checked || !r.ocd_valid) continue;
+      const bool extend_x = ExtendsX(r);
+      const bool extend_y = ExtendsY(r);
+      if (!extend_x && !extend_y) continue;
+      const Candidate& c = level[i];
+      mark_longest_prefix(c.x);
+      mark_longest_prefix(c.y);
+      for (ColumnId a : universe) {
+        if (c.x.Contains(a) || c.y.Contains(a)) continue;
+        if (extend_x) mark_extension(c.x, a);
+        if (extend_y) mark_extension(c.y, a);
+      }
+    }
+    for (auto it = part_cache_.begin(); it != part_cache_.end();) {
+      if (it->second.live_mark == live_mark_) {
+        ++it;
+        continue;
+      }
+      Release(it->second.ranks);
+      it = part_cache_.erase(it);
+    }
   }
 
   /// Two-phase per-level partition pipeline. Phase 1 (sequential) plans
-  /// every list the level needs that the cache is missing, walking each
-  /// side's prefixes so the plan is prefix-closed and its order depends
-  /// only on the candidate order — never on thread count. Phase 2 refines
-  /// the plan layer by layer (all lists of one length are independent once
-  /// the shorter ones are published) on the pool, sorting each layer by
-  /// parent so sibling refinements on one worker share the parent's rank
-  /// histogram, then publishes sequentially under the cache budget.
+  /// every list the level needs that the cache is missing, starting each
+  /// side from its longest cached prefix, so the plan's order depends only
+  /// on the cache and the candidate order — never on thread count. Phase 2
+  /// refines the plan layer by layer (all lists of one length are
+  /// independent once the shorter ones are published) on the pool,
+  /// sorting each layer by parent so sibling refinements on one worker
+  /// share the parent's rank histogram, then publishes sequentially under
+  /// the cache budget.
   ///
-  /// Budget overflow stays graceful exactly as the old sequential pass: an
-  /// over-budget partition is dropped, its descendants are skipped, and
-  /// the affected candidates fall back to the sort-based checker. The
-  /// RunContext is consulted between layers so a stopped run does not
-  /// grind through refinements whose checks will never execute.
-  /// `served`, when non-null, flags candidates already answered by the
-  /// check hook — their lists are not planned (nor refined, nor charged to
-  /// the cache budget), which is where the incremental walk's partition
-  /// savings come from.
+  /// Each distinct rank vector is stored once. A worker refines into its
+  /// own scratch partition and looks the content up among the vectors
+  /// already cached (read-only while the layer computes); only content
+  /// that is new gets copied out, once per distinct vector of the layer.
+  /// Publish charges the budget once per new vector, in sorted order.
+  ///
+  /// Budget overflow stays graceful: an over-budget partition is dropped,
+  /// its descendants are skipped, and the affected candidates fall back to
+  /// the sort-based checker. The RunContext is consulted between layers so
+  /// a stopped run does not grind through refinements whose checks will
+  /// never execute. `served`, when non-null, flags candidates already
+  /// answered by the check hook — their lists are not planned (nor
+  /// refined, nor charged to the cache budget), which is where the
+  /// incremental walk's partition savings come from.
   void PrepareLevelPartitions(const std::vector<Candidate>& level,
                               ThreadPool* pool,
                               const std::vector<char>* served = nullptr) {
     struct Job {
       od::AttributeList list;
-      ListPartition result;
+      SharedRanks* ranks = nullptr;     // cached vector with these ranks, or
+      PendingRanks* pending = nullptr;  // new content awaiting publish
       bool computed = false;
     };
     std::vector<Job> jobs;
-    std::unordered_map<od::AttributeList, std::size_t, AttributeListHash>
-        planned;
+    std::unordered_multimap<std::uint64_t, std::unique_ptr<PendingRanks>>
+        pending;  // this layer's new content
+    std::mutex pending_mu;
     std::size_t max_len = 0;
     std::vector<std::vector<Job*>> layers;
     {
       prof::ScopedTimer plan_timer(prof::Phase::kPlan);
+      std::unordered_set<AttributeList, AttributeListHash, AttributeListEq>
+          planned;
       auto plan_list = [&](const od::AttributeList& list) {
-        for (std::size_t k = 1; k <= list.size(); ++k) {
-          od::AttributeList prefix(std::vector<ColumnId>(
-              list.ids().begin(), list.ids().begin() + k));
-          if (part_cache_.find(prefix) != part_cache_.end()) continue;
-          if (planned.find(prefix) != planned.end()) continue;
-          planned.emplace(prefix, jobs.size());
-          jobs.push_back(Job{std::move(prefix), ListPartition{}, false});
+        const ColumnId* ids = list.ids().data();
+        std::size_t have = list.size();
+        for (; have > 0; --have) {
+          IdSpan prefix(ids, have);
+          if (part_cache_.find(prefix) != part_cache_.end() ||
+              planned.find(prefix) != planned.end()) {
+            break;
+          }
+        }
+        for (std::size_t k = have + 1; k <= list.size(); ++k) {
+          od::AttributeList prefix(std::vector<ColumnId>(ids, ids + k));
+          planned.insert(prefix);
+          jobs.emplace_back();
+          jobs.back().list = std::move(prefix);
         }
       };
       for (std::size_t i = 0; i < level.size(); ++i) {
@@ -568,18 +717,35 @@ class Driver {
     }
 
     auto compute_job = [&](Job& job) {
-      if (job.list.size() == 1) {
-        job.result = ListPartition::ForColumn(relation_, job.list[0]);
-        job.computed = true;
-        return;
-      }
-      od::AttributeList prefix(std::vector<ColumnId>(
-          job.list.ids().begin(), job.list.ids().end() - 1));
-      auto parent = part_cache_.find(prefix);
-      if (parent == part_cache_.end()) return;  // dropped by the budget
       thread_local RefineScratch scratch;
-      job.result = parent->second.Refine(
-          relation_, job.list[job.list.size() - 1], &scratch);
+      thread_local ListPartition refined;
+      const ListPartition* built = &refined;
+      ListPartition column;
+      const std::size_t len = job.list.size();
+      if (len == 1) {
+        column = ListPartition::ForColumn(relation_, job.list[0]);
+        built = &column;
+      } else {
+        auto parent =
+            part_cache_.find(IdSpan(job.list.ids().data(), len - 1));
+        if (parent == part_cache_.end()) return;  // dropped by the budget
+        parent->second.ranks->part.RefineInto(relation_, job.list[len - 1],
+                                              &scratch, &refined);
+      }
+      const std::uint64_t hash = built->ContentHash();
+      job.ranks = FindSame(interned_, *built, hash);
+      if (job.ranks == nullptr) {
+        // New content: one pending copy per distinct vector of the layer,
+        // whichever worker gets here first.
+        std::lock_guard<std::mutex> lock(pending_mu);
+        job.pending = FindSame(pending, *built, hash);
+        if (job.pending == nullptr) {
+          job.pending = pending
+                            .emplace(hash, std::make_unique<PendingRanks>(
+                                               PendingRanks{*built, hash}))
+                            ->second.get();
+        }
+      }
       job.computed = true;
     };
 
@@ -606,22 +772,44 @@ class Driver {
       } else {
         for (Job* j : layer) compute_job(*j);
       }
-      // Publish in the sorted (deterministic) order, shrunk so the budget
-      // is charged for real heap use, not allocator slack.
+      // Publish in the sorted (deterministic) order: the first list with a
+      // pending vector charges the budget for it and interns it; later
+      // lists with the same ranks share it. Which worker refined a vector
+      // never matters — only content and order do. The cached copy is made
+      // here, on the driver thread, and the workers' pending copies are
+      // freed with the layer, so worker heaps only ever hold one layer's
+      // new content.
       prof::ScopedTimer publish_timer(prof::Phase::kPublish);
       for (Job* j : layer) {
         if (!j->computed) continue;
-        j->result.ShrinkToFit();
-        std::size_t bytes = j->result.MemoryBytes();
-        if (options_.max_partition_cache_bytes != 0 &&
-            cache_bytes_ + bytes > options_.max_partition_cache_bytes) {
-          continue;
+        SharedRanks* ranks = j->ranks;
+        if (ranks == nullptr) {
+          if (j->pending->published == nullptr) Publish(j->pending);
+          ranks = j->pending->published;
+          if (ranks == nullptr) continue;  // over budget: sort fallback
         }
-        prof::AddAlloc(bytes);
-        cache_bytes_ += bytes;
-        part_cache_.emplace(std::move(j->list), std::move(j->result));
+        ++ranks->refs;
+        part_cache_.emplace(std::move(j->list), CacheEntry{ranks, 0});
       }
+      pending.clear();
     }
+  }
+
+  /// Interns a copy of a pending vector, charging the budget; leaves
+  /// `published` null when it does not fit.
+  void Publish(PendingRanks* pending) {
+    std::size_t bytes = pending->part.MemoryBytes();
+    if (options_.max_partition_cache_bytes != 0 &&
+        cache_bytes_ + bytes > options_.max_partition_cache_bytes) {
+      return;
+    }
+    prof::AddAlloc(bytes);
+    cache_bytes_ += bytes;
+    peak_cache_bytes_ = std::max(peak_cache_bytes_, cache_bytes_);
+    auto shared = std::make_unique<SharedRanks>(
+        SharedRanks{pending->part, pending->hash, 0});
+    pending->published = shared.get();
+    interned_.emplace(pending->hash, std::move(shared));
   }
 
   const rel::CodedRelation& relation_;
@@ -633,9 +821,19 @@ class Driver {
   std::uint64_t hook_served_ = 0;
   std::uint64_t hook_recomputed_ = 0;
   std::atomic<std::uint64_t> part_checks_{0};
-  std::unordered_map<od::AttributeList, ListPartition, AttributeListHash>
+  /// The partition cache: each cached list points at its interned rank
+  /// vector; lists that order the rows the same way share one.
+  std::unordered_map<AttributeList, CacheEntry, AttributeListHash,
+                     AttributeListEq>
       part_cache_;
+  /// Distinct cached rank vectors by content hash (collisions resolved by
+  /// `ListPartition::SameRanks`).
+  std::unordered_multimap<std::uint64_t, std::unique_ptr<SharedRanks>>
+      interned_;
+  std::uint64_t live_mark_ = 0;
+  /// Bytes of the distinct cached vectors, and their peak over the run.
   std::size_t cache_bytes_ = 0;
+  std::size_t peak_cache_bytes_ = 0;
 };
 
 }  // namespace

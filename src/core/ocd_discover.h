@@ -83,12 +83,16 @@ struct OcdDiscoverOptions {
   /// linear-time checking scheme of ORDER [10] that §5.3.1 notes could be
   /// re-implemented in this approach: each side's rank vector is derived
   /// from its parent's by one O(m)-ish refinement and every check becomes
-  /// O(m). Costs memory proportional to (#distinct list sides × rows);
-  /// bounded by `max_partition_cache_bytes`, beyond which candidates fall
-  /// back to the sort-based checker. Results are identical either way.
-  bool use_sorted_partitions = false;
+  /// O(m). The cache holds only the live set — the lists the current and
+  /// next level still read — and stores each distinct rank vector once;
+  /// single-column lists are views of the encoded columns. Bounded by
+  /// `max_partition_cache_bytes`, beyond which candidates fall back to the
+  /// sort-based checker. Results are identical either way; `false` selects
+  /// the paper's sort-per-candidate checker (the Table 6 ablation).
+  bool use_sorted_partitions = true;
 
-  /// Memory budget for the sorted-partition cache (0 = unlimited).
+  /// Memory budget for the sorted-partition cache (0 = unlimited), charged
+  /// once per distinct cached rank vector.
   std::size_t max_partition_cache_bytes = 1ULL << 30;  // 1 GiB
 
   /// Disable to skip the Theorem-3.9 pruning rules: every valid OCD then
@@ -157,8 +161,8 @@ struct OcdDiscoverResult {
   /// What checkpointing did (zero-initialized when disabled).
   CheckpointStats checkpoint_stats;
 
-  /// Peak footprint of the sorted-partition cache (0 when the sort-based
-  /// checker was used throughout).
+  /// Peak bytes of the distinct rank vectors live in the sorted-partition
+  /// cache (0 when the sort-based checker was used throughout).
   std::size_t partition_cache_bytes = 0;
 
   double elapsed_seconds = 0.0;

@@ -1,9 +1,11 @@
 #ifndef OCDD_OD_ATTRIBUTE_LIST_H_
 #define OCDD_OD_ATTRIBUTE_LIST_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,14 +67,37 @@ class AttributeList {
   std::vector<ColumnId> attrs_;
 };
 
-/// FNV-style hash for use in level-deduplication hash sets.
+/// FNV-style hash for use in level-deduplication hash sets. Transparent:
+/// with `AttributeListEq`, a set or map keyed by lists can be probed with
+/// a span of ids (say, a prefix of a list) without building a list.
 struct AttributeListHash {
-  std::size_t operator()(const AttributeList& l) const {
+  using is_transparent = void;
+  std::size_t operator()(std::span<const ColumnId> ids) const {
     std::size_t h = 1469598103934665603ULL;
-    for (ColumnId id : l.ids()) {
+    for (ColumnId id : ids) {
       h ^= id + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     }
     return h;
+  }
+  std::size_t operator()(const AttributeList& l) const {
+    return (*this)(std::span<const ColumnId>(l.ids()));
+  }
+};
+
+/// Transparent equality matching `AttributeListHash`.
+struct AttributeListEq {
+  using is_transparent = void;
+  static std::span<const ColumnId> Ids(const AttributeList& l) {
+    return l.ids();
+  }
+  static std::span<const ColumnId> Ids(std::span<const ColumnId> ids) {
+    return ids;
+  }
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    std::span<const ColumnId> x = Ids(a);
+    std::span<const ColumnId> y = Ids(b);
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
   }
 };
 

@@ -194,6 +194,55 @@ std::vector<Discrepancy> CheckStoppedRuns(const rel::CodedRelation& coded,
   return out;
 }
 
+/// Backend equivalence: the default sorted-partition checker, the paper's
+/// sort-per-candidate checker, and the partition checker under a cache
+/// budget of half its unlimited peak (so the cache overflows mid-level and
+/// candidates fall back to sorting) must report identical OCDs, ODs and
+/// check counts. The budgeted run must also be identical — cache peak
+/// included — on two threads, since the fallback decisions may not depend
+/// on the thread count.
+std::vector<Discrepancy> CheckBackends(const rel::CodedRelation& coded,
+                                       std::uint64_t* checks) {
+  std::vector<Discrepancy> out;
+  core::OcdDiscoverOptions opts;
+  const core::OcdDiscoverResult partitions = core::DiscoverOcds(coded, opts);
+  opts.use_sorted_partitions = false;
+  const core::OcdDiscoverResult sorted = core::DiscoverOcds(coded, opts);
+  opts.use_sorted_partitions = true;
+  opts.max_partition_cache_bytes =
+      std::max<std::size_t>(1, partitions.partition_cache_bytes / 2);
+  const core::OcdDiscoverResult budgeted = core::DiscoverOcds(coded, opts);
+  opts.num_threads = 2;
+  const core::OcdDiscoverResult budgeted_2t = core::DiscoverOcds(coded, opts);
+
+  auto compare = [&](const core::OcdDiscoverResult& want,
+                     const core::OcdDiscoverResult& got, const char* run) {
+    ++*checks;
+    if (got.ocds != want.ocds) {
+      out.push_back({"backend", run, "OCD list differs"});
+    }
+    if (got.ods != want.ods) {
+      out.push_back({"backend", run, "OD list differs"});
+    }
+    if (got.num_checks != want.num_checks) {
+      out.push_back({"backend", run,
+                     "num_checks " + std::to_string(got.num_checks) +
+                         " != " + std::to_string(want.num_checks)});
+    }
+  };
+  compare(partitions, sorted, "sort-checker");
+  compare(partitions, budgeted, "budget-fallback");
+  compare(budgeted, budgeted_2t, "budget-fallback-2-threads");
+  if (budgeted_2t.partition_cache_bytes != budgeted.partition_cache_bytes) {
+    out.push_back({"backend", "budget-fallback-2-threads",
+                   "partition_cache_bytes " +
+                       std::to_string(budgeted_2t.partition_cache_bytes) +
+                       " != " +
+                       std::to_string(budgeted.partition_cache_bytes)});
+  }
+  return out;
+}
+
 /// The resume-equivalence audit: for each checkpointable algorithm, run with
 /// a checkpoint directory under a check budget that stops it mid-lattice,
 /// then resume from the snapshot with no budget, and assert the resumed
@@ -1065,6 +1114,18 @@ QaSummary RunQa(const QaOptions& options) {
       }
     }
 
+    {
+      std::vector<Discrepancy> ds =
+          CheckBackends(coded, &summary.backend_checks);
+      if (!ds.empty()) {
+        QaFailure f =
+            MakeFailure(i, iter_seed, "backend", std::move(ds), relation);
+        MaybeWriteRepro(options, &f);
+        summary.failures.push_back(std::move(f));
+        continue;
+      }
+    }
+
     if (options.resume_runs && i % 7 == 0 && runs.AllCompleted()) {
       std::vector<Discrepancy> ds =
           CheckResumedRuns(coded, runs, scratch, &summary.resume_checks);
@@ -1172,6 +1233,8 @@ std::string SummaryToJson(const QaSummary& summary) {
   out += "  \"incremental_checks\": " +
          std::to_string(summary.incremental_checks) + ",\n";
   out += "  \"serve_checks\": " + std::to_string(summary.serve_checks) +
+         ",\n";
+  out += "  \"backend_checks\": " + std::to_string(summary.backend_checks) +
          ",\n";
   out += "  \"skipped\": " + std::to_string(summary.skipped) + ",\n";
   out += "  \"shrink_evaluations\": " +

@@ -72,12 +72,11 @@ struct QaFailure {
   /// the failing instance exactly. (Iteration seeds are derived, not
   /// sequential — see IterationSeed.)
   std::uint64_t iteration_seed = 0;
-  /// "oracle", "metamorphic/<transform>", "stopped_run", "resumed_run",
-  /// "ingest", "incremental", or "serve". For "ingest" failures
-  /// `csv` holds
-  /// the raw corrupted text
-  /// (line-shrunk when the contract violation survives shrinking) and each
-  /// discrepancy names the bad-row policy it indicts.
+  /// "oracle", "metamorphic/<transform>", "stopped_run", "backend",
+  /// "resumed_run", "ingest", "incremental", or "serve". For "ingest"
+  /// failures `csv` holds the raw corrupted text (line-shrunk when the
+  /// contract violation survives shrinking) and each discrepancy names the
+  /// bad-row policy it indicts.
   std::string kind;
   std::vector<Discrepancy> discrepancies;
   /// CSV of the shrunk failing relation (oracle failures) or of the base
@@ -107,6 +106,9 @@ struct QaSummary {
   std::uint64_t ingest_checks = 0;
   std::uint64_t incremental_checks = 0;
   std::uint64_t serve_checks = 0;
+  /// Runs compared across check backends (sort checker, forced cache-budget
+  /// fallback, two threads) against the default partition run.
+  std::uint64_t backend_checks = 0;
   std::uint64_t skipped = 0;
   std::uint64_t shrink_evaluations = 0;
   std::vector<QaFailure> failures;

@@ -369,10 +369,11 @@ void Server::AcceptLoop() {
 
 void Server::ConnectionThread(int fd) {
   HandleConnection(fd);
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    --active_connections_;
-  }
+  // Notify while holding the lock: once it is released, drain may see the
+  // count reach zero, return from Run() and destroy the Server — this
+  // detached thread must not touch `conn_cv_` after that point.
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  --active_connections_;
   conn_cv_.notify_all();
 }
 

@@ -251,7 +251,8 @@ class Server {
 
   /// Live reader threads (detached); drain waits for the count to reach
   /// zero — every reader is time-bounded by the frame deadline, so the wait
-  /// terminates.
+  /// terminates. A reader decrements and notifies under `conn_mu_`, so
+  /// once drain observes zero no reader touches these members again.
   std::mutex conn_mu_;
   std::condition_variable conn_cv_;
   std::size_t active_connections_ = 0;

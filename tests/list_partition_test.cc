@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 
+#include "common/prof.h"
 #include "common/rng.h"
 #include "core/ocd_discover.h"
 #include "datagen/fixtures.h"
+#include "datagen/generators.h"
 #include "datagen/random_relation.h"
 #include "od/brute_force.h"
 #include "relation/sorted_index.h"
@@ -109,12 +112,64 @@ std::vector<std::int64_t> ShapedColumn(Rng& rng, std::size_t rows,
   return col;
 }
 
-TEST(ListPartitionTest, ForColumnCopiesCodes) {
+TEST(ListPartitionTest, ForColumnViewsColumnCodes) {
   CodedRelation r = CodedIntTable({{30, 10, 20, 10}});
   ListPartition p = ListPartition::ForColumn(r, 0);
   EXPECT_EQ(p.codes(), (std::vector<std::int32_t>{2, 0, 1, 0}));
   EXPECT_EQ(p.num_groups(), 3);
   EXPECT_EQ(p.num_rows(), 4u);
+  // A view of the column's narrow mirror, not a copy.
+  EXPECT_EQ(p.data8(), r.column(0).codes8.data());
+  EXPECT_EQ(p.MemoryBytes(), sizeof(ListPartition));
+}
+
+TEST(ListPartitionTest, SameOrderMeansSameRanks) {
+  // Column 1 is a function of column 0 ([0] → [1]), so [0,1] orders the
+  // rows exactly as [0] does; [0,2] splits a group and differs.
+  CodedRelation r =
+      CodedIntTable({{1, 1, 2, 2, 3}, {7, 7, 8, 8, 9}, {5, 4, 4, 4, 4}});
+  ListPartition head = ListPartition::ForColumn(r, 0);
+  ListPartition same = head.Refine(r, 1);
+  ListPartition split = head.Refine(r, 2);
+  EXPECT_NE(same.data8(), head.data8());
+  EXPECT_TRUE(same.SameRanks(head));
+  EXPECT_TRUE(head.SameRanks(same));
+  EXPECT_EQ(same.ContentHash(), head.ContentHash());
+  EXPECT_NE(same.id(), head.id());
+  EXPECT_FALSE(split.SameRanks(head));
+  EXPECT_NE(split.ContentHash(), head.ContentHash());
+}
+
+TEST(ListPartitionTest, ScratchHistogramSurvivesParentBufferReuse) {
+  // A scratch caches the parent's rank histogram between refinements. When
+  // a parent is destroyed and a new partition's buffer lands at the same
+  // address, the scratch must still recompute the histogram: refining the
+  // new parent must equal a fresh-scratch refinement, on every path that
+  // reads the histogram.
+  CodedRelation r = CodedIntTable({{0, 0, 0, 0, 1, 1, 1, 1},
+                                   {0, 1, 2, 3, 0, 1, 2, 3},
+                                   {3, 2, 1, 0, 3, 2, 1, 0},
+                                   {0, 0, 1, 1, 2, 2, 3, 3}});
+  for (RefinePath path : {RefinePath::kCounting, RefinePath::kComparison}) {
+    RefineScratch scratch;
+    const void* old_address = nullptr;
+    {
+      ListPartition first = ListPartition::ForColumn(r, 0).Refine(r, 1);
+      old_address = first.data8();
+      (void)first.Refine(r, 2, &scratch, path);
+    }
+    // Same size as `first` (so the allocator hands its block straight
+    // back) but 4 groups of 2 rows instead of 8 singletons: a stale
+    // histogram would misplace rows.
+    ListPartition second = ListPartition::ForColumn(r, 0).Refine(r, 3);
+    SCOPED_TRACE(second.data8() == old_address ? "buffer reused"
+                                               : "buffer not reused");
+    ListPartition reused = second.Refine(r, 2, &scratch, path);
+    RefineScratch fresh_scratch;
+    ListPartition fresh = second.Refine(r, 2, &fresh_scratch, path);
+    EXPECT_EQ(reused.codes(), fresh.codes());
+    EXPECT_EQ(reused.codes(), RanksBySorting(r, AttributeList{0, 3, 2}));
+  }
 }
 
 TEST(ListPartitionTest, RefineMatchesFullSort) {
@@ -243,9 +298,17 @@ TEST_P(ListPartitionAgreementTest, ChecksMatchSortBasedCheckerAtWidths) {
   }
 }
 
+/// The sort-based checker's run: the reference every partition run must
+/// reproduce.
+OcdDiscoverResult SortCheckerRun(const CodedRelation& r) {
+  OcdDiscoverOptions opts;
+  opts.use_sorted_partitions = false;
+  return DiscoverOcds(r, opts);
+}
+
 TEST_P(ListPartitionAgreementTest, DriverEquivalentWithAndWithoutPartitions) {
   CodedRelation r = testutil::RandomCodedTable(GetParam() + 600, 25, 5, 3);
-  OcdDiscoverResult plain = DiscoverOcds(r);
+  OcdDiscoverResult plain = SortCheckerRun(r);
   OcdDiscoverOptions opts;
   opts.use_sorted_partitions = true;
   OcdDiscoverResult fast = DiscoverOcds(r, opts);
@@ -261,9 +324,11 @@ TEST_P(ListPartitionAgreementTest, CacheBudgetFallsBackCorrectly) {
   opts.use_sorted_partitions = true;
   opts.max_partition_cache_bytes = 512;  // only a handful of lists fit
   OcdDiscoverResult constrained = DiscoverOcds(r, opts);
-  OcdDiscoverResult plain = DiscoverOcds(r);
+  OcdDiscoverResult plain = SortCheckerRun(r);
   EXPECT_EQ(plain.ocds, constrained.ocds);
   EXPECT_EQ(plain.ods, constrained.ods);
+  EXPECT_EQ(plain.num_checks, constrained.num_checks);
+  EXPECT_LE(constrained.partition_cache_bytes, 512u);
 }
 
 TEST_P(ListPartitionAgreementTest, RefinePathsAgreeOnRandomRelations) {
@@ -319,7 +384,7 @@ TEST(ListPartitionTest, HeadRowsKeepsDenseRankInvariant) {
   OcdDiscoverOptions opts;
   opts.use_sorted_partitions = true;
   OcdDiscoverResult fast = DiscoverOcds(head, opts);
-  OcdDiscoverResult plain = DiscoverOcds(head);
+  OcdDiscoverResult plain = SortCheckerRun(head);
   EXPECT_EQ(fast.ocds, plain.ocds);
   EXPECT_EQ(fast.ods, plain.ods);
 }
@@ -334,6 +399,63 @@ TEST(ListPartitionTest, ParallelPartitionDriverMatches) {
   OcdDiscoverResult b = DiscoverOcds(r, par);
   EXPECT_EQ(a.ocds, b.ocds);
   EXPECT_EQ(a.ods, b.ods);
+  EXPECT_EQ(a.num_checks, b.num_checks);
+  EXPECT_EQ(a.partition_cache_bytes, b.partition_cache_bytes);
+}
+
+/// Partition-cache bytes published over a run (prof's allocation counter)
+/// and the sort checker's index builds (fallback checks), per run.
+struct CacheTraffic {
+  OcdDiscoverResult result;
+  std::uint64_t published_bytes = 0;
+  std::uint64_t sort_index_calls = 0;
+};
+
+CacheTraffic ProfiledRun(const CodedRelation& r, OcdDiscoverOptions opts) {
+  prof::SetEnabled(true);
+  prof::Reset();
+  CacheTraffic t;
+  t.result = DiscoverOcds(r, opts);
+  prof::Report report = prof::Snapshot();
+  prof::SetEnabled(false);
+  t.published_bytes = report.alloc_bytes;
+  for (const prof::PhaseStats& p : report.phases) {
+    if (std::string(p.name) == prof::PhaseName(prof::Phase::kSortIndex)) {
+      t.sort_index_calls = p.calls;
+    }
+  }
+  return t;
+}
+
+TEST(ListPartitionTest, CacheEvictsDeadListsAndBudgetsLiveBytes) {
+  // LATTICE keeps every level valid, so lists of all lengths are built:
+  // without eviction the peak would equal everything ever published.
+  CodedRelation r =
+      CodedRelation::Encode(datagen::MakeLattice(300, /*seed=*/5));
+  OcdDiscoverOptions opts;
+  CacheTraffic unlimited = ProfiledRun(r, opts);
+  ASSERT_TRUE(unlimited.result.completed);
+  const std::size_t peak = unlimited.result.partition_cache_bytes;
+  ASSERT_GT(peak, 0u);
+  EXPECT_LT(peak, unlimited.published_bytes);
+  EXPECT_EQ(unlimited.sort_index_calls, 0u);
+
+  // The peak is exactly what the budget is charged: a budget of the peak
+  // never falls back, one byte less must.
+  opts.max_partition_cache_bytes = peak;
+  CacheTraffic exact = ProfiledRun(r, opts);
+  EXPECT_EQ(exact.sort_index_calls, 0u);
+  EXPECT_EQ(exact.result.partition_cache_bytes, peak);
+  opts.max_partition_cache_bytes = peak - 1;
+  CacheTraffic short_by_one = ProfiledRun(r, opts);
+  EXPECT_GT(short_by_one.sort_index_calls, 0u);
+
+  OcdDiscoverResult plain = SortCheckerRun(r);
+  for (const CacheTraffic* t : {&unlimited, &exact, &short_by_one}) {
+    EXPECT_EQ(t->result.ocds, plain.ocds);
+    EXPECT_EQ(t->result.ods, plain.ods);
+    EXPECT_EQ(t->result.num_checks, plain.num_checks);
+  }
 }
 
 }  // namespace

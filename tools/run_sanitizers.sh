@@ -62,6 +62,14 @@ run_one() {
   ctest --test-dir "${dir}" --output-on-failure \
         -R "json_reader|serve_protocol|serve_test|fuzz_lite" \
         --repeat until-fail:3
+  # Partition-cache pass: cached rank vectors are shared between lists,
+  # evicted and freed mid-run, and single-column partitions are views into
+  # the encoded columns; refinement workers probe the interned set while a
+  # layer computes. ASan must see those lifetimes, TSan those probes.
+  echo "==> ${preset}: partition cache + discovery drivers (repeated)"
+  ctest --test-dir "${dir}" --output-on-failure \
+        -R "list_partition|ocd_discover|perf_smoke|incremental|qa_smoke" \
+        --repeat until-fail:3
 }
 
 presets=("${@:-asan tsan}")
